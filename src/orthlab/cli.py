@@ -33,9 +33,21 @@ EXIT_INVALID_INPUT = 2
 EXIT_RESOURCE = 3
 
 
-def default_budget() -> int:
-    env = os.environ.get("ORTHLAB_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+def resolve_budget(flag: str | None) -> int:
+    """The node budget from ``--budget``, else ``ORTHLAB_BUDGET``, else the default.
+
+    Raises ValueError unless the chosen value is an integer of at least 1.
+    """
+    text = flag if flag is not None else os.environ.get("ORTHLAB_BUDGET")
+    if flag is None and not text:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"budget must be a positive integer, got {text!r}")
+    return budget
 
 
 def load_source(src: str, *, validate: bool = True) -> StateSpace | PPL:
@@ -225,13 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plane", help="decide plane transitivity")
     p.add_argument("src")
     p.add_argument("--witnesses", action="store_true")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget")
     p.set_defaults(fn=cmd_plane)
 
     p = sub.add_parser("symmetries", help="enumerate the symmetry group")
     p.add_argument("src")
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget")
     p.set_defaults(fn=cmd_symmetries)
 
     p = sub.add_parser("search", help="run a seeded counterexample search")
@@ -243,9 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "budget", None) is None and hasattr(args, "budget"):
-        args.budget = default_budget()
     try:
+        if hasattr(args, "budget"):
+            args.budget = resolve_budget(args.budget)
         return args.fn(args)
     except (ParseError, InvalidInstanceError, CouldNotSeparateError,
             FileNotFoundError, ValueError) as exc:

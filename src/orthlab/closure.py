@@ -174,19 +174,6 @@ class ClosureSystem:
                 return m
         return None
 
-    def atoms(self) -> list[LatticeElement]:
-        """Minimal nonempty closed sets; for a T1 family, the singletons."""
-        mins: list[int] = []
-        out: list[LatticeElement] = []
-        for i, m in enumerate(self.masks):
-            if m == 0:
-                continue
-            if any(x & m == x for x in mins):
-                continue
-            mins.append(m)
-            out.append(self.element(i))
-        return out
-
     def lattice_atoms(self) -> list[LatticeElement]:
         """Elements covering the bottom element (the order-theoretic atoms)."""
         bottom = self.masks[0]

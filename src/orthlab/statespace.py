@@ -149,14 +149,17 @@ class StateSpace:
             raise InvalidInstanceError(report)
 
 
-def validate_state_space(ss: StateSpace) -> ValidationReport:
-    """Check antireflexivity, symmetry, and separation, with witnesses."""
-    o = ss.orth
-    return ValidationReport((
+def _orthogonality_checks(o: OrthoRelation) -> tuple[CheckResult, ...]:
+    return (
         CheckResult("antireflexive", (w := o.antireflexive_failure()) is None, w),
         CheckResult("symmetric", (w := o.symmetric_failure()) is None, w),
         CheckResult("separating", (w := o.separation_failure()) is None, w),
-    ))
+    )
+
+
+def validate_state_space(ss: StateSpace) -> ValidationReport:
+    """Check antireflexivity, symmetry, and separation, with witnesses."""
+    return ValidationReport(_orthogonality_checks(ss.orth))
 
 
 def perp(ss: StateSpace, a: AtomSet) -> AtomSet:
@@ -204,13 +207,9 @@ class PPL:
         return self.cs.closure_mask(mask)
 
     def validate(self) -> ValidationReport:
-        o = self.orth
-        return ValidationReport((
-            CheckResult("antireflexive", (w := o.antireflexive_failure()) is None, w),
-            CheckResult("symmetric", (w := o.symmetric_failure()) is None, w),
-            CheckResult("separating", (w := o.separation_failure()) is None, w),
-            CheckResult("t1", self.cs.is_t1, None),
-        ))
+        """The state-space checks on the orthogonality, plus T1 for the family."""
+        return ValidationReport(
+            _orthogonality_checks(self.orth) + (CheckResult("t1", self.cs.is_t1, None),))
 
     def require_valid(self) -> None:
         report = self.validate()

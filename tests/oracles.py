@@ -160,11 +160,6 @@ def family_bottom(family: set[frozenset[int]]) -> frozenset[int]:
     return out
 
 
-def minimal_nonempty(family: set[frozenset[int]]) -> set[frozenset[int]]:
-    nonempty = [m for m in family if m]
-    return {m for m in nonempty if not any(o < m for o in nonempty)}
-
-
 def covers_of_bottom(family: set[frozenset[int]]) -> set[frozenset[int]]:
     bot = family_bottom(family)
     above = [m for m in family if bot < m]

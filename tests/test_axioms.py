@@ -39,9 +39,21 @@ def test_lantern_orthocomplementation_is_the_expected_map(mo2_ppl):
     assert oc.mapping == (5, 3, 4, 1, 2, 0)
 
 
+def _small_pairs(random_batch):
+    """Unordered pairs (repeats allowed) of the distinct random spaces on at most 4 states."""
+    spaces = list({ss.orth.rows: ss for ss in random_batch if ss.n <= 4}.values())
+    return [(a, b) for i, a in enumerate(spaces) for b in spaces[i:]]
+
+
 def test_forced_candidate_agrees_with_brute_search(b2_ppl, b3_ppl, mo2_ppl, random_batch):
-    lattices = [b2_ppl, b3_ppl, mo2_ppl]
+    # every subset of the lantern's atoms closed: the perps are members, but
+    # {a1,a2} is not fixed by double perp
+    powerset = O.PPL(O.ClosureSystem.from_masks(4, range(16)), mo2_ppl.orth, mo2_ppl.labels)
+    lattices = [b2_ppl, b3_ppl, mo2_ppl, powerset]
     lattices += [O.property_lattice(ss) for ss in random_batch if ss.n <= 4]
+    lattices += [O.minimal_product(O.property_lattice(a), O.property_lattice(b))
+                 for a, b in _small_pairs(random_batch)]
+    kinds = set()
     for ppl in lattices:
         if len(ppl.cs) > 16:
             continue
@@ -49,11 +61,13 @@ def test_forced_candidate_agrees_with_brute_search(b2_ppl, b3_ppl, mo2_ppl, rand
         found = ora.all_orthocomplementations(fam, orth)
         oc = find_compatible_orthocomplementation(ppl)
         if isinstance(oc, Certificate):
+            kinds.add(oc.kind)
             assert found == []
         else:
             # compatibility forces uniqueness; brute search must agree exactly
             assert len(found) == 1
             assert _mapping_as_sets(ppl, oc) == found[0]
+    assert kinds == {"atom-row-not-closed", "not-involutive"}
 
 
 def test_minimal_product_has_no_orthocomplementation(b2_ppl):
@@ -188,13 +202,24 @@ def test_boolean_failure_certificate_replays(mo2_ppl):
 
 
 def test_boolean_agrees_with_oracle(random_batch):
-    for ss in random_batch:
-        if ss.n > 4:
+    lattices = [O.property_lattice(ss) for ss in random_batch if ss.n <= 4]
+    lattices += [O.property_lattice(O.separated_product(a, b))
+                 for a, b in _small_pairs(random_batch)]
+    failures = 0
+    for ppl in lattices:
+        if len(ppl.cs) > 16:
             continue
-        ppl = O.property_lattice(ss)
         oc = find_compatible_orthocomplementation(ppl)
-        assert check_boolean(ppl.cs, oc).holds == \
-            ora.is_distributive(ora.family_to_sets(ppl.cs.masks))
+        fam = ora.family_to_sets(ppl.cs.masks)
+        report = check_boolean(ppl.cs, oc)
+        assert report.holds == ora.is_distributive(fam)
+        if not report.holds:
+            failures += 1
+            cert = report.certificate
+            assert cert.kind == "distributivity"
+            assert ora.replay_distributivity(
+                fam, *(ora.mask_to_set(cert.part(k).atoms.bits) for k in "xyz"))
+    assert failures > 0
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +249,11 @@ def test_irreducible_agrees_with_oracle(random_batch):
         _, fam, complement = _oracle_world(ppl)
         central = ora.central_elements(fam, complement)
         bot, top = frozenset(), frozenset(range(ss.n))
-        assert check_irreducible(ppl, oc).holds == (central <= {bot, top})
+        nontrivial = sorted(central - {bot, top}, key=lambda z: (len(z), ora.set_to_mask(z)))
+        report = check_irreducible(ppl, oc)
+        assert report.holds == (not nontrivial)
+        if not report.holds:
+            assert ora.mask_to_set(report.certificate.part("z").atoms.bits) == nontrivial[0]
 
 
 def test_trivial_verdicts(b1_ppl, b2_ppl):

@@ -223,6 +223,33 @@ def test_symmetry_budget_env_var(run, monkeypatch):
     assert out == ["count\t48"]
 
 
+@pytest.mark.parametrize("where, value, expected", [
+    ("env", "abc", 2),
+    ("env", "0", 2),
+    ("env", "-5", 2),
+    ("env", "5", 3),
+    ("env", "1000000", 0),
+    ("flag", "abc", 2),
+    ("flag", "0", 2),
+    ("flag", "-5", 2),
+    ("flag", "5", 3),
+    ("flag", "1000000", 0),
+])
+def test_budget_value_exit_codes(run, monkeypatch, where, value, expected):
+    argv = ["symmetries", "gen:mo:3", "--count-only"]
+    if where == "env":
+        monkeypatch.setenv("ORTHLAB_BUDGET", value)
+    else:
+        argv += ["--budget", value]
+    code, out, err = run(*argv)
+    assert code == expected
+    if expected == 0:
+        assert out == ["count\t48"]
+    else:
+        assert not out
+        assert err.startswith("error\t")
+
+
 # ---------------------------------------------------------------------------
 # search
 

@@ -21,7 +21,6 @@ from oracles import (
     family_join,
     family_to_sets,
     mask_to_set,
-    minimal_nonempty,
     saturate_intersections,
     set_to_mask,
 )
@@ -134,19 +133,16 @@ def test_atoms_and_lattice_atoms_match_oracle(case):
     n, gens = case
     cs = meet_closure([AtomSet(g, n) for g in gens], n)
     fam = family_to_sets(cs.masks)
-    assert {frozenset(e.atoms) for e in cs.atoms()} == minimal_nonempty(fam)
     assert {frozenset(e.atoms) for e in cs.lattice_atoms()} == covers_of_bottom(fam)
 
 
 def test_atoms_of_single_member_family_is_the_ground_set():
     cs = ClosureSystem.from_masks(2, [0b11])
-    assert [e.atoms.bits for e in cs.atoms()] == [0b11]
     assert cs.lattice_atoms() == []
 
 
 def test_atoms_vs_lattice_atoms_on_a_chain():
     cs = ClosureSystem.from_masks(2, [0b00, 0b01, 0b11])
-    assert [e.atoms.bits for e in cs.atoms()] == [0b01]
     assert [e.atoms.bits for e in cs.lattice_atoms()] == [0b01]
     assert not cs.is_t1
 
