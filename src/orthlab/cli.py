@@ -25,7 +25,8 @@ from .formats import (format_atom_set, parse_ppl, parse_statespace, sniff_format
 from .products import minimal_product, separated_product
 from .search import parse_search_spec, render_report, run_search
 from .statespace import PPL, StateSpace, property_lattice, validate_state_space
-from .symmetry import DEFAULT_BUDGET, enumerate_symmetries, is_plane_transitive
+from .symmetry import (DEFAULT_BUDGET, count_symmetries, enumerate_symmetries,
+                       is_plane_transitive)
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILS = 1
@@ -189,11 +190,13 @@ def cmd_plane(args) -> int:
 
 def cmd_symmetries(args) -> int:
     ppl = as_ppl(load_source(args.src))
+    if args.count_only:
+        print(f"count\t{count_symmetries(ppl, budget=args.budget)}")
+        return EXIT_OK
     count = 0
     for sym in enumerate_symmetries(ppl, budget=args.budget):
         count += 1
-        if not args.count_only:
-            print("symmetry\t" + " ".join(ppl.labels[t] for t in sym.perm))
+        print("symmetry\t" + " ".join(ppl.labels[t] for t in sym.perm))
     print(f"count\t{count}")
     return EXIT_OK
 
@@ -260,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
             args.budget = resolve_budget(args.budget)
         return args.fn(args)
     except (ParseError, InvalidInstanceError, CouldNotSeparateError,
-            FileNotFoundError, ValueError) as exc:
+            OSError, ValueError) as exc:
         print(f"error\t{exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except (CapacityError, BudgetExceededError) as exc:

@@ -19,14 +19,11 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bitset import GROUND_CAPACITY, AtomSet, canonical_key, mask_bits
+from .bitset import GROUND_CAPACITY, AtomSet, canonical_key
 from .errors import CapacityError, NotALatticeError, NotAtomisticError
 
 #: Default cap on family size for generated closure systems.
 DEFAULT_FAMILY_CAP = 1_000_000
-
-# Above this many closed sets, bulk permutation checks switch to numpy.
-_NUMPY_THRESHOLD = 2048
 
 
 @dataclass(frozen=True)
@@ -82,10 +79,6 @@ class ClosureSystem:
     @cached_property
     def _cards(self) -> tuple[int, ...]:
         return tuple(m.bit_count() for m in self.masks)
-
-    @cached_property
-    def _value_sorted(self) -> np.ndarray:
-        return np.sort(np.array(self.masks, dtype=np.uint64))
 
     @cached_property
     def closed(self) -> tuple[AtomSet, ...]:
@@ -205,22 +198,26 @@ class ClosureSystem:
         Checking one direction suffices for "closed both ways": the image map
         is injective on a finite family, so if every image is a member the
         family maps onto itself.
+
+        Images are looked up a byte of atoms at a time: ``tables[k][v]`` is
+        the image of the byte value v placed at atoms 8k..8k+7.
         """
-        if len(self.masks) >= _NUMPY_THRESHOLD:
-            arr = self._value_sorted
-            out = np.zeros_like(arr)
-            one = np.uint64(1)
-            for i, t in enumerate(perm):
-                out |= ((arr >> np.uint64(i)) & one) << np.uint64(t)
-            out.sort()
-            if np.array_equal(out, arr):
-                return None
-        tbl = [1 << t for t in perm]
+        imgs = [1 << t for t in perm]
+        tables = []
+        for lo in range(0, len(imgs), 8):
+            chunk = imgs[lo:lo + 8]
+            tbl = [0] * (1 << len(chunk))
+            for v in range(1, len(tbl)):
+                low = v & -v
+                tbl[v] = tbl[v ^ low] | chunk[low.bit_length() - 1]
+            tables.append(tbl)
         idx = self._index
         for m in self.masks:
             img = 0
-            for i in mask_bits(m):
-                img |= tbl[i]
+            rest = m
+            for tbl in tables:
+                img |= tbl[rest & 255]
+                rest >>= 8
             if img not in idx:
                 return m
         return None

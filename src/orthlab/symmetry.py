@@ -2,15 +2,22 @@
 
 A symmetry is an atom permutation that maps closed sets to closed sets
 in both directions and preserves orthogonality in both directions.  The
-enumerator backtracks over atom images in lexicographic order, pruning on
+backtracking search assigns pinned atoms first, then the free atoms in
+ascending order, trying images in ascending order, so symmetries come out
+in lexicographic order of the image tuple.  Candidates are pruned on
 per-atom invariants (orthogonality degree and closed-set membership
-profile) and on partial orthogonality consistency; completed assignments
-are verified against the whole closed family before being emitted.
+profile) and on orthogonality with the atoms already assigned.  Each
+closed set is checked once, as soon as all of its atoms have images; on a
+property lattice no closed-set check is needed at all (see
+:func:`_backtrack`).
 
-A plane witness for (p, q) is a symmetry carrying p to q while fixing,
-atom by atom, the join of two distinct atoms.  Searches are budgeted:
-running out raises :class:`BudgetExceededError`, which is an "unknown"
-outcome, never a negative one.
+The group order is the product of the basic orbit lengths along the base
+0, 1, ..., n-1, each orbit point found by one pinned existence probe, so
+the group is never listed to be counted.  A plane witness for (p, q) is a
+symmetry carrying p to q while fixing, atom by atom, the join of two
+distinct atoms.  Searches are budgeted: running out raises
+:class:`BudgetExceededError`, which is an "unknown" outcome, never a
+negative one.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .bitset import AtomSet, mask_bits
+from .bitset import mask_bits
 from .errors import BudgetExceededError, InvariantViolationError
 from .statespace import PPL
 
@@ -36,10 +43,7 @@ class Symmetry:
         return self.perm[atom]
 
     def image_mask(self, mask: int) -> int:
-        out = 0
-        for i in mask_bits(mask):
-            out |= 1 << self.perm[i]
-        return out
+        return _image(self.perm, mask)
 
 
 @dataclass(frozen=True)
@@ -127,50 +131,84 @@ def _atom_signatures(ppl: PPL) -> tuple:
     )
 
 
+def _image(perm: Sequence[int], mask: int) -> int:
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def _backtrack(ppl: PPL, pins: dict[int, int], budget: _Budget,
                sigs: tuple | None = None) -> Iterator[tuple[int, ...]]:
-    """All symmetries consistent with ``pins``, in lexicographic order."""
+    """All symmetries consistent with ``pins``, in lexicographic order.
+
+    The pins are assigned before the search and checked once against each
+    other: on orthogonality, and on the closed sets that lie wholly inside
+    the pinned atoms.  The free atoms are then assigned in ascending order;
+    each candidate image costs one budget node, and each closed set is
+    checked at the free atom that completes it.  A pruned subtree therefore
+    holds no symmetry, and a completed assignment needs no final check.
+
+    On a property lattice (``ppl.biorthogonal``) no closed set is checked:
+    the family is exactly the sets A⊥⊥, and a bijection f that preserves
+    orthogonality both ways has f(A⊥) = f(A)⊥, hence f(A⊥⊥) = f(A)⊥⊥, so
+    it maps the family into itself and, being injective, onto itself.
+    """
     n = ppl.n
     rows = ppl.orth.rows
+    cs = ppl.cs
     if sigs is None:
         sigs = _atom_signatures(ppl)
     if len(set(pins.values())) != len(pins):
         return
+    perm = [-1] * n
+    dom = used = 0
     for p, q in pins.items():
         if sigs[p] != sigs[q]:
             return
+        perm[p] = q
+        dom |= 1 << p
+        used |= 1 << q
+    for p in pins:
+        if rows[perm[p]] & used != _image(perm, rows[p] & dom):
+            return
+    completes: list[list[int]] = [[] for _ in range(n)]
+    if not ppl.biorthogonal:
+        for m in cs.masks:
+            rest = m & ~dom
+            if rest:
+                completes[rest.bit_length() - 1].append(m)
+            elif _image(perm, m) not in cs:
+                return
+    free = [p for p in range(n) if not (dom >> p) & 1]
     by_sig: dict = {}
     for q in range(n):
         by_sig.setdefault(sigs[q], []).append(q)
 
-    perm = [-1] * n
-    used = 0
-
-    def descend(pos: int) -> Iterator[tuple[int, ...]]:
-        nonlocal used
-        if pos == n:
-            if ppl.cs.permutation_failure(perm) is None:
-                yield tuple(perm)
+    def descend(k: int, assigned: int, used: int) -> Iterator[tuple[int, ...]]:
+        if k == len(free):
+            yield tuple(perm)
             return
-        assigned = (1 << pos) - 1
-        req = 0
-        for p in mask_bits(rows[pos] & assigned):
-            req |= 1 << perm[p]
-        pinned = pins.get(pos)
-        cands = (pinned,) if pinned is not None else by_sig[sigs[pos]]
-        for q in cands:
+        pos = free[k]
+        req = _image(perm, rows[pos] & assigned)
+        rest = None  # images of the sets pos completes, minus pos itself
+        for q in by_sig[sigs[pos]]:
             budget.spend()
-            if (used >> q) & 1:
+            if (used >> q) & 1 or rows[q] & used != req:
                 continue
-            if rows[q] & used != req:
-                continue
-            perm[pos] = q
-            used |= 1 << q
-            yield from descend(pos + 1)
-            used ^= 1 << q
-            perm[pos] = -1
+            if rest is None:
+                rest = [_image(perm, m ^ 1 << pos) for m in completes[pos]]
+            if all(r | 1 << q in cs for r in rest):
+                perm[pos] = q
+                yield from descend(k + 1, assigned | 1 << pos, used | 1 << q)
 
-    yield from descend(0)
+    yield from descend(0, dom, used)
+
+
+def _exists(ppl: PPL, pins: dict[int, int], budget: _Budget, sigs: tuple) -> bool:
+    return next(_backtrack(ppl, pins, budget, sigs), None) is not None
 
 
 def enumerate_symmetries(ppl: PPL, budget: int | None = DEFAULT_BUDGET) -> Iterator[Symmetry]:
@@ -185,7 +223,21 @@ def enumerate_symmetries(ppl: PPL, budget: int | None = DEFAULT_BUDGET) -> Itera
 
 
 def count_symmetries(ppl: PPL, budget: int | None = DEFAULT_BUDGET) -> int:
-    return sum(1 for _ in enumerate_symmetries(ppl, budget))
+    """Order of the symmetry group, without listing it.
+
+    Let G_i be the symmetries fixing atoms 0..i-1.  By orbit-stabilizer,
+    |G_i| = |orbit of i under G_i| * |G_{i+1}|, so |G| is the product of
+    those orbit lengths.  Each orbit point q is one pinned existence probe
+    (0..i-1 fixed, i mapped to q); all probes share one node budget.
+    """
+    b = _Budget(budget)
+    sigs = _atom_signatures(ppl)
+    order = 1
+    fixed: dict[int, int] = {}
+    for i in range(ppl.n):
+        order *= sum(_exists(ppl, {**fixed, i: q}, b, sigs) for q in range(i, ppl.n))
+        fixed[i] = i
+    return order
 
 
 def find_plane_symmetry(ppl: PPL, p: int, q: int,
@@ -285,16 +337,9 @@ def product_plane_witness(w1: PlaneWitness, w2: PlaneWitness, product: PPL) -> P
 def is_group_transitive(ppl: PPL, budget: int | None = DEFAULT_BUDGET) -> bool:
     """Can every atom be carried to every other by some symmetry?
 
-    Finite evidence only: each ordered pair gets its own budgeted search
-    for any symmetry with perm[p] = q (no plane constraint).
+    The symmetries form a group, so this holds exactly when the orbit of
+    atom 0 is every atom: each q != 0 gets its own budgeted search for any
+    symmetry with perm[0] = q (no plane constraint).
     """
-    n = ppl.n
     sigs = _atom_signatures(ppl)
-    for p in range(n):
-        for q in range(n):
-            if p == q:
-                continue
-            b = _Budget(budget)
-            if next(_backtrack(ppl, {p: q}, b, sigs), None) is None:
-                return False
-    return True
+    return all(_exists(ppl, {0: q}, _Budget(budget), sigs) for q in range(1, ppl.n))

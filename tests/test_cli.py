@@ -234,13 +234,16 @@ def test_symmetry_budget_env_var(run, monkeypatch):
     ("flag", "-5", 2),
     ("flag", "5", 3),
     ("flag", "1000000", 0),
+    ("src", "directory", 2),  # a source path that cannot be read as a file
 ])
-def test_budget_value_exit_codes(run, monkeypatch, where, value, expected):
+def test_budget_value_exit_codes(run, monkeypatch, tmp_path, where, value, expected):
     argv = ["symmetries", "gen:mo:3", "--count-only"]
     if where == "env":
         monkeypatch.setenv("ORTHLAB_BUDGET", value)
-    else:
+    elif where == "flag":
         argv += ["--budget", value]
+    else:
+        argv[1] = str(tmp_path)
     code, out, err = run(*argv)
     assert code == expected
     if expected == 0:

