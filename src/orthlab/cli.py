@@ -3,8 +3,9 @@
 Sources are file paths or generator references like ``gen:boolean:4``,
 ``gen:mo:2``, ``gen:random:6:0.5:42``.  Reports are plain text, one
 finding per line, tab separated.  Exit codes: 0 success (and the checked
-property holds), 1 a checked property fails, 2 invalid input, 3 budget
-or capacity exceeded.
+property holds), 1 a checked property fails, 2 invalid input or any other
+orthlab error, 3 budget or capacity exceeded.  Every error ends with an
+``error\t...`` line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from .axioms import (Certificate, check_boolean, check_covering_law, check_irred
                      check_orthomodular, find_compatible_orthocomplementation)
 from .closure import LatticeElement
 from .dot import export_dot
-from .errors import (BudgetExceededError, CapacityError, CouldNotSeparateError,
-                     InvalidInstanceError, OrthlabError, ParseError)
+from .errors import BudgetExceededError, CapacityError, OrthlabError, ParseError
 from .formats import (format_atom_set, parse_ppl, parse_statespace, sniff_format)
 from .products import minimal_product, separated_product
 from .search import parse_search_spec, render_report, run_search
@@ -262,13 +262,12 @@ def main(argv: list[str] | None = None) -> int:
         if hasattr(args, "budget"):
             args.budget = resolve_budget(args.budget)
         return args.fn(args)
-    except (ParseError, InvalidInstanceError, CouldNotSeparateError,
-            OSError, ValueError) as exc:
-        print(f"error\t{exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
     except (CapacityError, BudgetExceededError) as exc:
         print(f"error\t{exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except (OrthlabError, OSError, ValueError) as exc:
+        print(f"error\t{exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
 
 
 if __name__ == "__main__":  # pragma: no cover

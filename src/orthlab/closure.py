@@ -2,8 +2,10 @@
 
 A :class:`ClosureSystem` stores every closed set as a bit mask, in a
 canonical order (cardinality, then mask value).  Meets are intersections;
-joins go through the closure operator (smallest closed superset).  The
-family generated by arbitrary sets is computed by :func:`meet_closure`.
+joins go through the closure operator (smallest closed superset), which
+reads the closed supersets of a set off one bitmap per atom over the
+element indices.  The family generated by arbitrary sets is computed by
+:func:`meet_closure`.
 
 :class:`AbstractLattice` is the extensional counterpart: a finite lattice
 given only by its order matrix.  :func:`closure_space_of` turns an
@@ -12,14 +14,13 @@ atomistic one back into the closure system of its atom supports.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bitset import GROUND_CAPACITY, AtomSet, canonical_key
+from .bitset import GROUND_CAPACITY, AtomSet, canonical_key, mask_bits
 from .errors import CapacityError, NotALatticeError, NotAtomisticError
 
 #: Default cap on family size for generated closure systems.
@@ -77,8 +78,30 @@ class ClosureSystem:
         return {m: i for i, m in enumerate(self.masks)}
 
     @cached_property
-    def _cards(self) -> tuple[int, ...]:
-        return tuple(m.bit_count() for m in self.masks)
+    def _cols(self) -> tuple[int, ...]:
+        """One bitmap per atom r over element indices, lowest index highest.
+
+        Bit m-1-i of ``_cols[r]`` is set when masks[i] contains r (m
+        elements), so the lowest index in a bitmap x is m - x.bit_length().
+        """
+        nbytes = (self.n + 7) // 8
+        arr = np.array(self.masks[::-1], dtype="<u8").view(np.uint8).reshape(-1, 8)[:, :nbytes]
+        bits = np.unpackbits(arr, axis=1, bitorder="little")[:, :self.n]
+        packed = np.packbits(bits, axis=0, bitorder="little").T.copy()
+        return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+    def _superset_bits(self, mask: int) -> int:
+        """Bitmap (as in ``_cols``) of the closed supersets of ``mask``.
+
+        It is the AND of the columns of the atoms of ``mask``.
+        """
+        cols = self._cols
+        sup = (1 << len(self.masks)) - 1
+        while mask:
+            low = mask & -mask
+            sup &= cols[low.bit_length() - 1]
+            mask ^= low
+        return sup
 
     @cached_property
     def closed(self) -> tuple[AtomSet, ...]:
@@ -123,18 +146,27 @@ class ClosureSystem:
     def closure_mask(self, mask: int) -> int:
         """Smallest closed superset of ``mask``.
 
-        The canonical order makes the first superset encountered the
-        smallest one: the intersection of all closed supersets is itself a
-        closed superset of minimal cardinality, and a distinct set of the
-        same cardinality cannot contain it.
+        It is the closed superset with the lowest index: the intersection
+        of all closed supersets is itself a closed superset of minimal
+        cardinality, and a distinct set of the same cardinality cannot
+        contain it, so the canonical order puts it first.
         """
         if mask in self._index:
             return mask
-        start = bisect_left(self._cards, mask.bit_count())
-        for m in self.masks[start:]:
-            if mask & ~m == 0:
-                return m
-        raise AssertionError("full set is always a closed superset")  # pragma: no cover
+        return self.masks[len(self.masks) - self._superset_bits(mask).bit_length()]
+
+    def one_point_extensions(self, a: int) -> list[int]:
+        """Index of cl(a ∪ {r}) for every atom r, for a closed ``a``.
+
+        Entry r is a's own index when r lies in a.  The superset bitmap of
+        a is built once; each r outside a then costs one AND with r's
+        column.
+        """
+        sup = self._superset_bits(a)
+        m = len(self.masks)
+        own = m - sup.bit_length()
+        cols = self._cols
+        return [own if (a >> r) & 1 else m - (sup & cols[r]).bit_length() for r in range(self.n)]
 
     def meet_mask(self, a: int, b: int) -> int:
         return a & b
@@ -152,20 +184,18 @@ class ClosureSystem:
         return a.atoms.issubset(b.atoms)
 
     def covers(self, a: LatticeElement, b: LatticeElement) -> bool:
-        """True iff ``b`` covers ``a``: a < b with nothing strictly between."""
+        """True iff ``b`` covers ``a``: a < b with nothing strictly between.
+
+        That is, cl(a ∪ {r}) = b for every r in b∖a: each such closure
+        lies above a and below b, and any closed m strictly between
+        contains some r in m∖a, whose closure with a stays inside m.
+        """
         am, bm = a.atoms.bits, b.atoms.bits
         if am == bm or am & ~bm:
             return False
-        return self._between(am, bm) is None
-
-    def _between(self, am: int, bm: int) -> int | None:
-        """First closed set strictly between ``am`` and ``bm``, else None."""
-        start = bisect_left(self._cards, am.bit_count())
-        stop = bisect_left(self._cards, bm.bit_count() + 1)
-        for m in self.masks[start:stop]:
-            if m != am and m != bm and am & ~m == 0 and m & ~bm == 0:
-                return m
-        return None
+        ext = self.one_point_extensions(am)
+        bid = self.id_of(bm)
+        return all(ext[r] == bid for r in mask_bits(bm & ~am))
 
     def lattice_atoms(self) -> list[LatticeElement]:
         """Elements covering the bottom element (the order-theoretic atoms)."""

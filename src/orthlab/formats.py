@@ -24,7 +24,8 @@ from __future__ import annotations
 from .bitset import AtomSet, mask_bits
 from .closure import ClosureSystem
 from .errors import InvalidInstanceError, ParseError
-from .statespace import PPL, OrthoRelation, StateSpace, validate_state_space
+from .statespace import (PPL, OrthoRelation, StateSpace, is_biorthogonal_family,
+                         validate_state_space)
 
 
 def format_atom_set(mask: int, labels: tuple[str, ...]) -> str:
@@ -137,8 +138,9 @@ def parse_ppl(text: str, *, validate: bool = True) -> PPL:
 
     The implied T1 sets (empty, singletons, full) are inserted, then the
     family is verified intersection-closed; a missing intersection is
-    reported with the offending pair.  ``validate`` additionally runs the
-    orthogonality axioms.
+    reported with the offending pair.  The result is marked
+    ``biorthogonal`` when the family is exactly the double-perp family.
+    ``validate`` additionally runs the orthogonality axioms.
     """
     lines = _tokenize(text)
     if not lines:
@@ -181,7 +183,8 @@ def parse_ppl(text: str, *, validate: bool = True) -> PPL:
             f"{format_atom_set(f, tuple(reader.labels))} and "
             f"{format_atom_set(g, tuple(reader.labels))} meet in a missing set",
             next((ln for m, ln in closed_decls if m in (f, g)), lines[0][0][1]))
-    ppl = PPL(cs=cs, orth=orth, labels=tuple(reader.labels))
+    ppl = PPL(cs=cs, orth=orth, labels=tuple(reader.labels),
+              biorthogonal=is_biorthogonal_family(cs, orth))
     if validate:
         report = ppl.validate()
         if not report.ok:

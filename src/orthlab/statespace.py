@@ -92,8 +92,11 @@ class OrthoRelation:
 
     def perp_mask(self, mask: int) -> int:
         out = (1 << self.n) - 1
-        for p in mask_bits(mask):
-            out &= self.rows[p]
+        rows = self.rows
+        while mask:
+            low = mask & -mask
+            out &= rows[low.bit_length() - 1]
+            mask ^= low
         return out
 
     # -- axiom probes -----------------------------------------------------
@@ -182,8 +185,10 @@ class PPL:
     """A T1 closure system with an orthogonality on its atoms.
 
     ``biorthogonal`` marks families whose closure operator coincides with
-    double perp (set by :func:`property_lattice`, which verifies it); joins
-    then skip the generic superset scan.
+    double perp (set by :func:`property_lattice` and by ``parse_ppl``
+    through :func:`is_biorthogonal_family`, both of which verify it);
+    joins then take the double perp instead of the closure system's
+    superset lookup.
     """
 
     cs: ClosureSystem
@@ -215,6 +220,32 @@ class PPL:
         report = self.validate()
         if not report.ok:
             raise InvalidInstanceError(report)
+
+
+def is_biorthogonal_family(cs: ClosureSystem, orth: OrthoRelation) -> bool:
+    """Is the family exactly the sets fixed by double perp?
+
+    It is when the empty set is a member, every member m is fixed by double
+    perp, and (m ∪ {r})⊥⊥ is a member for every atom r outside m.  Every X
+    fixed by double perp is then reached from the empty set by such steps
+    inside X: m ⊊ X and r in X∖m give m ⊊ (m ∪ {r})⊥⊥ ⊆ X⊥⊥ = X.  Both
+    tests run member by member in canonical order, so a family that is not
+    biorthogonal, like a minimal product, fails at one of its first
+    members.  The cost is O(m·n) perps.
+    """
+    if 0 not in cs:
+        return False
+    full = (1 << orth.n) - 1
+    rows = orth.rows
+    perp_mask = orth.perp_mask
+    for m in cs.masks:
+        pm = perp_mask(m)
+        if perp_mask(pm) != m:
+            return False
+        for r in mask_bits(full & ~m):
+            if perp_mask(pm & rows[r]) not in cs:
+                return False
+    return True
 
 
 def property_lattice(ss: StateSpace, *, max_family: int = DEFAULT_FAMILY_CAP) -> PPL:

@@ -250,21 +250,27 @@ def find_plane_symmetry(ppl: PPL, p: int, q: int,
     n = ppl.n
     if not (0 <= p < n and 0 <= q < n):
         raise ValueError("atoms out of range")
-    if n < 2:
-        return None
-    b = _Budget(budget)
-    sigs = _atom_signatures(ppl)
-    for p1 in range(n):
-        for p2 in range(p1 + 1, n):
-            plane = ppl.join_mask((1 << p1) | (1 << p2))
-            pins = {a: a for a in mask_bits(plane)}
-            if p in pins and q != p:
-                continue
-            if q in pins and p != q:
-                continue  # image q is already taken by the fixed atom q
-            pins[p] = q
-            for perm in _backtrack(ppl, pins, b, sigs):
-                return PlaneWitness(p=p, q=q, p1=p1, p2=p2, f=Symmetry(perm))
+    return _plane_search(ppl, p, q, _Budget(budget), _atom_signatures(ppl), _planes(ppl))
+
+
+def _planes(ppl: PPL) -> list[tuple[int, int, int]]:
+    """(p1, p2, join of {p1} and {p2}) for every atom pair p1 < p2, in scan order."""
+    n = ppl.n
+    return [(p1, p2, ppl.join_mask((1 << p1) | (1 << p2)))
+            for p1 in range(n) for p2 in range(p1 + 1, n)]
+
+
+def _plane_search(ppl: PPL, p: int, q: int, b: _Budget, sigs: tuple,
+                  planes: list[tuple[int, int, int]]) -> PlaneWitness | None:
+    for p1, p2, plane in planes:
+        pins = {a: a for a in mask_bits(plane)}
+        if p in pins and q != p:
+            continue
+        if q in pins and p != q:
+            continue  # image q is already taken by the fixed atom q
+        pins[p] = q
+        for perm in _backtrack(ppl, pins, b, sigs):
+            return PlaneWitness(p=p, q=q, p1=p1, p2=p2, f=Symmetry(perm))
     return None
 
 
@@ -289,18 +295,21 @@ def verify_plane_witness(ppl: PPL, w: PlaneWitness) -> str | None:
 def is_plane_transitive(ppl: PPL, budget: int | None = DEFAULT_BUDGET) -> PlaneTransitivityReport:
     """Search a plane witness for every ordered atom pair (fresh budget each).
 
-    Fewer than two atoms cannot host a plane, so such ppl's are reported
-    as not plane transitive with a note.
+    The atom signatures and the plane masks are computed once for all
+    pairs.  Fewer than two atoms cannot host a plane, so such ppl's are
+    reported as not plane transitive with a note.
     """
     n = ppl.n
     if n < 2:
         return PlaneTransitivityReport(
             False, failing_pair=(0, 0) if n else None,
             note="fewer than two atoms: no plane exists")
+    sigs = _atom_signatures(ppl)
+    planes = _planes(ppl)
     witnesses = []
     for p in range(n):
         for q in range(n):
-            w = find_plane_symmetry(ppl, p, q, budget=budget)
+            w = _plane_search(ppl, p, q, _Budget(budget), sigs, planes)
             if w is None:
                 return PlaneTransitivityReport(False, failing_pair=(p, q))
             witnesses.append(w)

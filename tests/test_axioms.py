@@ -1,5 +1,7 @@
 """Axiom checkers against exhaustive oracles, plus certificate replays."""
 
+import random
+
 import pytest
 
 import orthlab as O
@@ -119,11 +121,17 @@ def test_orthomodular_fails_on_the_separated_lantern_square(mo2):
         ora.mask_to_set(cert.part("rebuilt").bits))
 
 
+def _key(s):
+    """Canonical order of sets: cardinality, then mask value."""
+    return (len(s), ora.set_to_mask(s))
+
+
 def test_orthomodular_agrees_with_oracle(random_batch):
-    for ss in random_batch:
-        ppl = O.property_lattice(ss)
-        if len(ppl.cs) > 20:
-            continue
+    lattices = [O.property_lattice(ss) for ss in random_batch]
+    lattices += [O.property_lattice(O.separated_product(a, b))
+                 for a, b in _small_pairs(random_batch)]
+    failures = 0
+    for ppl in lattices:
         oc = find_compatible_orthocomplementation(ppl)
         assert not isinstance(oc, Certificate)
         _, fam, complement = _oracle_world(ppl)
@@ -131,10 +139,14 @@ def test_orthomodular_agrees_with_oracle(random_batch):
         report = check_orthomodular(ppl, oc)
         assert report.holds == (not violations)
         if not report.holds:
+            failures += 1
             cert = report.certificate
-            pair = (ora.mask_to_set(cert.part("a").atoms.bits),
-                    ora.mask_to_set(cert.part("b").atoms.bits))
-            assert pair in violations
+            a, b = min(violations, key=lambda ab: (_key(ab[0]), _key(ab[1])))
+            assert ora.mask_to_set(cert.part("a").atoms.bits) == a
+            assert ora.mask_to_set(cert.part("b").atoms.bits) == b
+            assert ora.replay_orthomodular(fam, complement, a, b,
+                                           ora.mask_to_set(cert.part("rebuilt").bits))
+    assert failures > 0
 
 
 # ---------------------------------------------------------------------------
@@ -163,20 +175,41 @@ def test_covering_fails_on_the_minimal_product_with_frozen_certificate(b2_ppl):
         ora.mask_to_set(0b1111), ora.mask_to_set(0b0011))
 
 
+def _random_families(seed, count):
+    """Seeded meet closures of random sets; most are not T1."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        n = 2 + i % 5
+        gens = [O.AtomSet(rng.getrandbits(n), n) for _ in range(2 + i % 4)]
+        out.append(O.meet_closure(gens, n))
+    return out
+
+
 def test_covering_agrees_with_oracle(random_batch):
-    for ss in random_batch:
-        ppl = O.property_lattice(ss)
-        if len(ppl.cs) > 20:
-            continue
-        _, fam, _ = _oracle_world(ppl)
+    families = [O.property_lattice(ss).cs for ss in random_batch]
+    for a, b in _small_pairs(random_batch):
+        families.append(O.minimal_product(O.property_lattice(a), O.property_lattice(b)).cs)
+        families.append(O.property_lattice(O.separated_product(a, b)).cs)
+    # not T1: lattice atoms {0,1,2} and {0,3} over the bottom {0}
+    families.append(O.ClosureSystem.from_masks(5, [0b00001, 0b00111, 0b01001, 0b01111, 0b11111]))
+    families += _random_families(3, 60)
+    failures = wide_failures = 0
+    for cs in families:
+        fam = ora.family_to_sets(cs.masks)
         violations = ora.covering_violations(fam)
-        report = check_covering_law(ppl.cs)
+        report = check_covering_law(cs)
         assert report.holds == (not violations)
         if not report.holds:
+            failures += 1
+            wide_failures += any(len(p.atoms) > 1 for p in cs.lattice_atoms())
             cert = report.certificate
-            pair = (ora.mask_to_set(cert.part("p").atoms.bits),
-                    ora.mask_to_set(cert.part("a").atoms.bits))
-            assert pair in violations
+            p, a = min(violations, key=lambda pa: (_key(pa[1]), _key(pa[0])))
+            join = ora.family_join(fam, a, p)
+            between = min((m for m in fam if a < m < join), key=_key)
+            got = [ora.mask_to_set(cert.part(k).atoms.bits) for k in ("p", "a", "join", "between")]
+            assert got == [p, a, join, between]
+    assert wide_failures > 0 and failures > wide_failures
 
 
 # ---------------------------------------------------------------------------

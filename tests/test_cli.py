@@ -3,8 +3,10 @@
 import pytest
 
 import orthlab as O
+from orthlab import cli, errors
 from orthlab.cli import main
 from orthlab.search import TARGETS
+from orthlab.statespace import CheckResult, ValidationReport
 
 
 @pytest.fixture(autouse=True)
@@ -251,6 +253,29 @@ def test_budget_value_exit_codes(run, monkeypatch, tmp_path, where, value, expec
     else:
         assert not out
         assert err.startswith("error\t")
+
+
+@pytest.mark.parametrize("exc, expected", [
+    (errors.ParseError("bad token", 1, 1), 2),
+    (errors.InvalidInstanceError(ValidationReport((CheckResult("t1", False),))), 2),
+    (errors.CouldNotSeparateError("no separating relation"), 2),
+    (errors.InvariantViolationError("broken invariant"), 2),
+    (errors.NotALatticeError("no least upper bound"), 2),
+    (errors.NotAtomisticError(3), 2),
+    (errors.OrthlabError("generic"), 2),
+    (OSError("unreadable"), 2),
+    (ValueError("bad value"), 2),
+    (errors.CapacityError("too big"), 3),
+    (errors.BudgetExceededError(7), 3),
+])
+def test_error_class_exit_codes(run, monkeypatch, exc, expected):
+    def fail(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(cli, "load_source", fail)
+    code, out, err = run("axioms", "gen:mo:2")
+    assert code == expected
+    assert not out
+    assert err.startswith("error\t") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from orthlab.closure import (
 from orthlab.errors import CapacityError, NotALatticeError, NotAtomisticError
 
 from oracles import (
+    covers,
     covers_of_bottom,
     family_closure,
     family_join,
@@ -125,6 +126,35 @@ def test_closure_and_bounds_match_oracle(case, x, y):
     assert mask_to_set(cs.join_mask(ca, cb)) == \
         family_join(fam, mask_to_set(ca), mask_to_set(cb))
     assert cs.meet_mask(ca, cb) == ca & cb
+
+
+@given(families)
+def test_closure_extensions_and_covers_match_oracle_everywhere(case):
+    n, gens = case
+    cs = meet_closure([AtomSet(g, n) for g in gens], n)
+    fam = family_to_sets(cs.masks)
+    for x in range(1 << n):
+        assert mask_to_set(cs.closure_mask(x)) == family_closure(fam, mask_to_set(x))
+    for e in cs.elements():
+        a = e.atoms.bits
+        ext = cs.one_point_extensions(a)
+        assert [mask_to_set(cs.masks[k]) for k in ext] == \
+            [family_closure(fam, mask_to_set(a | 1 << r)) for r in range(n)]
+        for f in cs.elements():
+            assert cs.covers(e, f) == covers(fam, mask_to_set(a), mask_to_set(f.atoms.bits))
+
+
+def test_covers_with_non_singleton_atoms_and_a_nonempty_bottom():
+    # bottom {0}; lattice atoms {0,1,2} and {0,3}; {0,1,2,3,4} is the top
+    cs = ClosureSystem.from_masks(5, [0b00001, 0b00111, 0b01001, 0b01111, 0b11111])
+    fam = family_to_sets(cs.masks)
+    assert [e.atoms.bits for e in cs.lattice_atoms()] == [0b01001, 0b00111]
+    for e in cs.elements():
+        for f in cs.elements():
+            assert cs.covers(e, f) == covers(fam, mask_to_set(e.atoms.bits),
+                                             mask_to_set(f.atoms.bits))
+    assert not cs.covers(cs.element(0), cs.element(4))
+    assert cs.covers(cs.element(3), cs.element(4))
 
 
 @given(families)

@@ -1,5 +1,7 @@
 """Text formats: parsing, canonical serialization, and error positions."""
 
+import random
+
 import pytest
 
 import orthlab as O
@@ -12,6 +14,8 @@ from orthlab.formats import (
     serialize_statespace,
     sniff_format,
 )
+
+import oracles as ora
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +101,7 @@ def test_error_columns_point_at_the_offending_token():
 def test_ppl_document_inserts_implied_sets():
     ppl = parse_ppl("ppl v1\natoms a b\north a b\n")
     assert ppl.cs.masks == (0b00, 0b01, 0b10, 0b11)
-    assert not ppl.biorthogonal
+    assert ppl.biorthogonal  # the Boolean square's family is its double-perp family
 
 
 def test_ppl_roundtrip_of_a_product(b2_ppl):
@@ -108,6 +112,36 @@ def test_ppl_roundtrip_of_a_product(b2_ppl):
     assert again.orth.rows == prod.orth.rows
     assert again.labels == prod.labels
     assert serialize_ppl(again) == text
+
+
+def _double_perp_family(ppl):
+    return ora.family_to_sets(ppl.cs.masks) == ora.closed_sets(ora.rows_to_dict(ppl.orth.rows))
+
+
+def test_ppl_biorthogonal_flag_agrees_with_oracle(random_batch, b2_ppl, b3_ppl, mo2_ppl, mo3_ppl):
+    catalog = (b2_ppl, b3_ppl, mo2_ppl, mo3_ppl)
+    for ppl in [O.property_lattice(ss) for ss in random_batch] + list(catalog):
+        assert _double_perp_family(ppl)
+        assert parse_ppl(serialize_ppl(ppl)).biorthogonal
+    for a in catalog[:3]:
+        for b in catalog[:3]:
+            if a.n * b.n > 12:
+                continue  # keep the 2^n oracle scan small
+            prod = O.minimal_product(a, b)
+            assert not _double_perp_family(prod)
+            assert not parse_ppl(serialize_ppl(prod)).biorthogonal
+    # random T1 families on catalog orthogonalities, checked against the oracle
+    rng = random.Random(11)
+    verdicts = set()
+    for base in catalog[1:]:
+        for _ in range(6):
+            gens = [1 << p for p in range(base.n)] + [rng.getrandbits(base.n) for _ in range(2)]
+            cs = O.meet_closure([O.AtomSet(g, base.n) for g in gens], base.n)
+            ppl = O.PPL(cs, base.orth, base.labels)
+            verdict = parse_ppl(serialize_ppl(ppl)).biorthogonal
+            assert verdict == _double_perp_family(ppl)
+            verdicts.add(verdict)
+    assert False in verdicts
 
 
 def test_ppl_serialization_lists_only_informative_sets(mo2_ppl):
