@@ -5,8 +5,9 @@ Each target scans random factor pairs for a configuration that the
 structural results rule out (an orthomodular separated product with two
 non-Boolean factors, a minimal product admitting a compatible
 orthocomplementation or satisfying the covering law with nontrivial
-factors).  Any hit is printed with its replayable inputs and makes the
-script exit nonzero.
+factors).  Each target gets one summary line; a hit is printed as the
+search report's ``hit`` lines, which hold its replayable inputs, and
+makes the script exit nonzero.
 """
 
 import argparse
@@ -35,17 +36,15 @@ def main() -> int:
     for target in args.target or sorted(TARGETS):
         report = run_search(SearchSpec(target, args.count, nmax=args.nmax,
                                        density=args.density, seed=args.seed))
+        lines = render_report(report).splitlines(keepends=True)
         if args.full_report:
-            sys.stdout.write(render_report(report))
+            sys.stdout.writelines(lines)
         print(f"{target}\tcount\t{len(report.instances)}"
               f"\thits\t{len(report.hits)}\tinvalid\t{report.invalid}")
-        for h in report.hits:
+        if not args.full_report:
+            sys.stdout.writelines(line for line in lines if line.startswith("hit\t"))
+        if report.hits:
             exit_code = 1
-            print(f"  hit at instance {h.instance.index}"
-                  f" (seed {h.instance.seed}): {h.instance.detail}")
-            for tag, text in (("input1", h.input1), ("input2", h.input2)):
-                for line in text.rstrip("\n").splitlines():
-                    print(f"    {tag}\t{line}")
     return exit_code
 
 

@@ -11,17 +11,12 @@ import argparse
 import sys
 
 import orthlab as O
-from orthlab.axioms import (
-    Orthocomplementation,
-    check_boolean,
-    check_covering_law,
-    check_irreducible,
-    check_orthomodular,
-    find_compatible_orthocomplementation,
-)
+from orthlab.axioms import axiom_suite
 from orthlab.products import minimal_product, separated_product
 from orthlab.statespace import property_lattice
 from orthlab.symmetry import count_symmetries, is_plane_transitive
+
+PROFILE_KEYS = ("oc", "om", "covering", "boolean", "irreducible")
 
 
 def yn(flag) -> str:
@@ -29,23 +24,14 @@ def yn(flag) -> str:
 
 
 def axiom_profile(ppl) -> dict:
-    oc = find_compatible_orthocomplementation(ppl)
-    has_oc = isinstance(oc, Orthocomplementation)
-    return {
-        "oc": has_oc,
-        "om": check_orthomodular(ppl, oc).holds if has_oc else None,
-        "covering": check_covering_law(ppl.cs).holds,
-        "boolean": check_boolean(ppl.cs, oc).holds if has_oc else None,
-        "irreducible": check_irreducible(ppl, oc).holds if has_oc else None,
-    }
+    """yes/no per axiom of the suite, - where it needs a missing complement."""
+    return {key: yn(None if rep is None else rep.holds)
+            for key, rep in zip(PROFILE_KEYS, axiom_suite(ppl))}
 
 
 def survey_line(name: str, ppl, *, symmetries: bool) -> str:
-    prof = axiom_profile(ppl)
-    cols = [name, f"atoms={ppl.n}", f"elements={len(ppl.cs)}",
-            f"oc={yn(prof['oc'])}", f"om={yn(prof['om'])}",
-            f"covering={yn(prof['covering'])}", f"boolean={yn(prof['boolean'])}",
-            f"irreducible={yn(prof['irreducible'])}"]
+    cols = [name, f"atoms={ppl.n}", f"elements={len(ppl.cs)}"]
+    cols += [f"{key}={flag}" for key, flag in axiom_profile(ppl).items()]
     if symmetries:
         cols.append(f"symmetries={count_symmetries(ppl)}")
         cols.append(f"plane-transitive={yn(is_plane_transitive(ppl).transitive)}")

@@ -6,7 +6,7 @@ from .closure import (DEFAULT_FAMILY_CAP, AbstractLattice, ClosureSystem, Lattic
 from .statespace import (PPL, CheckResult, OrthoRelation, StateSpace, ValidationReport,
                          biorthogonal_closure, perp, property_lattice, validate_state_space)
 from .axioms import (AxiomReport, Certificate, CheckStats, Orthocomplementation,
-                     check_boolean, check_covering_law, check_irreducible,
+                     axiom_suite, check_boolean, check_covering_law, check_irreducible,
                      check_orthomodular, check_trivial,
                      find_compatible_orthocomplementation)
 from .products import (minimal_product, pair_index, product_orthogonality,

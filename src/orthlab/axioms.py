@@ -144,19 +144,19 @@ def check_orthomodular(ppl: PPL, oc: Orthocomplementation) -> AxiomReport:
 def check_covering_law(cs: ClosureSystem) -> AxiomReport:
     """Whenever an atom p misses an element a, must a join p cover a?
 
-    Atoms here are the covers of the bottom element.  j = a ∨ p covers a
-    exactly when cl(a ∪ {r}) = j for every r in j∖a: each such closure
-    lies above a (r is not in a) and below j, and any m strictly between
-    contains some r in m∖a, with cl(a ∪ {r}) ⊆ m.  The same argument makes
-    the canonically first element strictly between a and j the canonical
-    minimum of the closures cl(a ∪ {r}) other than j, r in j∖a: m contains
-    one of them, which is canonically no later than m.  The scan runs
-    element-major (each a against every atom it misses, in canonical
-    order), so the certificate is the one an exhaustive scan of the pairs
-    and of the elements between reports.  The join itself is a one-point
-    extension: for any r0 in p outside the bottom, cl(a ∪ {r0}) contains
-    cl(bottom ∪ {r0}) = p, because p covers the bottom.  ``checked``
-    counts the one-point extensions computed.
+    Atoms here are the covers of the bottom element, and j = a ∨ p covers
+    a exactly when cl(a ∪ {r}) = j for every r in j∖a (the criterion of
+    :meth:`ClosureSystem.upper_covers`, given a's one-point extensions).
+    Any m strictly between a and j contains some r in m∖a, with
+    cl(a ∪ {r}) ⊆ m, so the canonically first element strictly between is
+    the canonical minimum of the closures cl(a ∪ {r}) other than j, r in
+    j∖a: m contains one of them, which is canonically no later than m.
+    The scan runs element-major (each a against every atom it misses, in
+    canonical order), so the certificate is the one an exhaustive scan of
+    the pairs and of the elements between reports.  The join itself is a
+    one-point extension: for any r0 in p outside the bottom, cl(a ∪ {r0})
+    contains cl(bottom ∪ {r0}) = p, because p covers the bottom.
+    ``checked`` counts the one-point extensions computed.
     """
     t0 = time.perf_counter()
     masks = cs.masks
@@ -170,16 +170,13 @@ def check_covering_law(cs: ClosureSystem) -> AxiomReport:
     for i, a in enumerate(masks):
         ext = cs.one_point_extensions(a)
         checked += cs.n - a.bit_count()
-        reach: dict[int, int] = {}  # k -> mask of the r outside a with cl(a ∪ {r}) = masks[k]
-        for r, k in enumerate(ext):
-            if k != i:
-                reach[k] = reach.get(k, 0) | 1 << r
+        ups = cs.upper_covers(a, ext)
         for p, pm, r0 in atoms:
             if a & pm != bottom:
                 continue
             jid = ext[r0]
-            j = masks[jid]
-            if reach.get(jid) != j & ~a:
+            if jid not in ups:
+                j = masks[jid]
                 between = min(ext[r] for r in mask_bits(j & ~a) if ext[r] != jid)
                 cert = Certificate("covering-law", (
                     ("p", p),
@@ -259,6 +256,29 @@ def check_irreducible(ppl: PPL, oc: Orthocomplementation) -> AxiomReport:
     z = min(components, key=canonical_key)
     cert = Certificate("central-element", (("z", ppl.cs.element(ppl.cs.id_of(z))),))
     return _timed("irreducible", False, cert, ppl.n, t0)
+
+
+#: The axioms of :func:`axiom_suite`, in report order.
+SUITE_AXIOMS = ("orthocomplementation", "orthomodular", "covering", "boolean", "irreducible")
+
+
+def axiom_suite(ppl: PPL) -> tuple[AxiomReport | None, ...]:
+    """The reports for :data:`SUITE_AXIOMS`, in that order.
+
+    Orthocomplementation is reported like the other axioms: it holds when a
+    compatible complement exists, and otherwise its certificate is the
+    impossibility certificate.  The covering law needs no complement; the
+    other three do, and are None when there is none.  ``checked`` counts
+    the elements the complement maps (0 when there is none).
+    """
+    t0 = time.perf_counter()
+    oc = find_compatible_orthocomplementation(ppl)
+    if isinstance(oc, Certificate):
+        return (_timed("orthocomplementation", False, oc, 0, t0), None,
+                check_covering_law(ppl.cs), None, None)
+    return (_timed("orthocomplementation", True, None, len(oc.mapping), t0),
+            check_orthomodular(ppl, oc), check_covering_law(ppl.cs),
+            check_boolean(ppl.cs, oc), check_irreducible(ppl, oc))
 
 
 def check_trivial(cs: ClosureSystem) -> bool:

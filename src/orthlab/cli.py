@@ -5,7 +5,8 @@ Sources are file paths or generator references like ``gen:boolean:4``,
 finding per line, tab separated.  Exit codes: 0 success (and the checked
 property holds), 1 a checked property fails, 2 invalid input or any other
 orthlab error, 3 budget or capacity exceeded.  Every error ends with an
-``error\t...`` line on stderr, never a traceback.
+``error\t...`` line on stderr, never a traceback; an exception from
+outside orthlab's hierarchy (a bug) is an ``internal error`` and exits 2.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import sys
 from pathlib import Path
 
 from . import catalog
-from .axioms import (Certificate, check_boolean, check_covering_law, check_irreducible,
-                     check_orthomodular, find_compatible_orthocomplementation)
+from .axioms import SUITE_AXIOMS, Certificate, axiom_suite
 from .closure import LatticeElement
 from .dot import export_dot
 from .errors import BudgetExceededError, CapacityError, OrthlabError, ParseError
@@ -81,39 +81,16 @@ def _axiom_lines(ppl: PPL) -> tuple[list[str], bool]:
     Orthocomplementation, orthomodularity, and the covering law decide the
     exit status; Booleanness and irreducibility are classification only.
     """
-    labels = ppl.labels
+    reports = axiom_suite(ppl)
     lines = []
-    oc = find_compatible_orthocomplementation(ppl)
-    core_ok = True
-    if isinstance(oc, Certificate):
-        core_ok = False
-        lines.append(f"orthocomplementation\tfail\t{_cert_text(oc, labels)}")
-        lines.append("orthomodular\tskip\tno orthocomplementation")
-    else:
-        lines.append("orthocomplementation\tpass")
-        om = check_orthomodular(ppl, oc)
-        if om.holds:
-            lines.append("orthomodular\tpass")
+    for name, rep in zip(SUITE_AXIOMS, reports):
+        if rep is None:
+            lines.append(f"{name}\tskip\tno orthocomplementation")
+        elif rep.holds:
+            lines.append(f"{name}\tpass")
         else:
-            core_ok = False
-            lines.append(f"orthomodular\tfail\t{_cert_text(om.certificate, labels)}")
-    cov = check_covering_law(ppl.cs)
-    if cov.holds:
-        lines.append("covering\tpass")
-    else:
-        core_ok = False
-        lines.append(f"covering\tfail\t{_cert_text(cov.certificate, labels)}")
-    if isinstance(oc, Certificate):
-        lines.append("boolean\tskip\tno orthocomplementation")
-        lines.append("irreducible\tskip\tno orthocomplementation")
-    else:
-        bo = check_boolean(ppl.cs, oc)
-        lines.append("boolean\tpass" if bo.holds
-                     else f"boolean\tfail\t{_cert_text(bo.certificate, labels)}")
-        ir = check_irreducible(ppl, oc)
-        lines.append("irreducible\tpass" if ir.holds
-                     else f"irreducible\tfail\t{_cert_text(ir.certificate, labels)}")
-    return lines, core_ok
+            lines.append(f"{name}\tfail\t{_cert_text(rep.certificate, ppl.labels)}")
+    return lines, all(rep is not None and rep.holds for rep in reports[:3])
 
 
 def cmd_validate(args) -> int:
@@ -267,6 +244,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_RESOURCE
     except (OrthlabError, OSError, ValueError) as exc:
         print(f"error\t{exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
+    except Exception as exc:
+        print(f"error\tinternal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 
 

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bitset import GROUND_CAPACITY, AtomSet, canonical_key, mask_bits
+from .bitset import GROUND_CAPACITY, AtomSet, canonical_key
 from .errors import CapacityError, NotALatticeError, NotAtomisticError
 
 #: Default cap on family size for generated closure systems.
@@ -183,33 +183,31 @@ class ClosureSystem:
     def le(self, a: LatticeElement, b: LatticeElement) -> bool:
         return a.atoms.issubset(b.atoms)
 
-    def covers(self, a: LatticeElement, b: LatticeElement) -> bool:
-        """True iff ``b`` covers ``a``: a < b with nothing strictly between.
+    def upper_covers(self, a: int, ext: list[int] | None = None) -> set[int]:
+        """Indices of the elements covering a closed ``a``, as an unsorted set.
 
-        That is, cl(a ∪ {r}) = b for every r in b∖a: each such closure
-        lies above a and below b, and any closed m strictly between
-        contains some r in m∖a, whose closure with a stays inside m.
+        j covers a exactly when cl(a ∪ {r}) = j for every r in j∖a: each
+        such closure lies above a and below j, and any closed m strictly
+        between contains some r in m∖a, whose closure with a stays inside
+        m.  ``ext`` is a's :meth:`one_point_extensions` vector, computed
+        here when not given.
         """
-        am, bm = a.atoms.bits, b.atoms.bits
-        if am == bm or am & ~bm:
-            return False
-        ext = self.one_point_extensions(am)
-        bid = self.id_of(bm)
-        return all(ext[r] == bid for r in mask_bits(bm & ~am))
+        if ext is None:
+            ext = self.one_point_extensions(a)
+        reach: dict[int, int] = {}  # k -> the r outside a with cl(a ∪ {r}) = masks[k]
+        for r, k in enumerate(ext):
+            if not (a >> r) & 1:
+                reach[k] = reach.get(k, 0) | 1 << r
+        masks = self.masks
+        return {k for k, rs in reach.items() if rs == masks[k] & ~a}
+
+    def covers(self, a: LatticeElement, b: LatticeElement) -> bool:
+        """True iff ``b`` covers ``a``: a < b with nothing strictly between."""
+        return self.id_of(b.atoms) in self.upper_covers(a.atoms.bits)
 
     def lattice_atoms(self) -> list[LatticeElement]:
         """Elements covering the bottom element (the order-theoretic atoms)."""
-        bottom = self.masks[0]
-        mins: list[int] = []
-        out: list[LatticeElement] = []
-        for i, m in enumerate(self.masks):
-            if m == bottom:
-                continue
-            if any(x & m == x for x in mins):
-                continue
-            mins.append(m)
-            out.append(self.element(i))
-        return out
+        return [self.element(i) for i in sorted(self.upper_covers(self.masks[0]))]
 
     # -- whole-family checks ----------------------------------------------
 

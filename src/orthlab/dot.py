@@ -11,15 +11,9 @@ MAX_DOT_ELEMENTS = 500
 
 
 def cover_pairs(cs: ClosureSystem) -> list[tuple[int, int]]:
-    """Cover relation as (lower id, upper id) pairs, sorted."""
-    out = []
-    for j, b in enumerate(cs.masks):
-        # maximal strict subsets of b are exactly the elements b covers
-        subs = [(i, a) for i, a in enumerate(cs.masks) if a != b and a & ~b == 0]
-        for i, a in subs:
-            if not any(a != c and a & ~c == 0 for _, c in subs):
-                out.append((i, j))
-    return out
+    """Cover relation as (lower id, upper id) pairs, by upper id, then lower id."""
+    pairs = [(i, j) for i, a in enumerate(cs.masks) for j in cs.upper_covers(a)]
+    return sorted(pairs, key=lambda e: (e[1], e[0]))
 
 
 def export_dot(cs: ClosureSystem, labels: tuple[str, ...], *,

@@ -5,15 +5,15 @@ composite label is "(x,y)".  In both products, (p1, p2) is orthogonal to
 (q1, q2) iff p1 is orthogonal to q1 or p2 is orthogonal to q2.
 
 The separated product keeps the full state-space structure (take its
-property lattice for the closed sets); the minimal product closes the
-cylinder extensions of factor closed sets under intersection, the
-product in the category of T1 closure spaces.
+property lattice for the closed sets); the minimal product, the product
+in the category of T1 closure spaces, has the rectangles F x G of factor
+closed sets as its closed sets.
 """
 
 from __future__ import annotations
 
 from .bitset import GROUND_CAPACITY, mask_bits
-from .closure import DEFAULT_FAMILY_CAP, ClosureSystem, _meet_closure_masks
+from .closure import DEFAULT_FAMILY_CAP, ClosureSystem
 from .errors import CapacityError, InvariantViolationError
 from .statespace import PPL, OrthoRelation, StateSpace
 
@@ -91,26 +91,18 @@ def separated_product(ss1: StateSpace, ss2: StateSpace) -> StateSpace:
 
 
 def minimal_product(ppl1: PPL, ppl2: PPL, *,
-                    max_family: int = DEFAULT_FAMILY_CAP,
-                    via_rectangles: bool = False) -> PPL:
+                    max_family: int = DEFAULT_FAMILY_CAP) -> PPL:
     """Product of two valid ppl's in the category of T1 closure spaces.
 
-    The closed family is generated from the cylinder extensions of the
-    factor closed sets; ``via_rectangles`` switches to the direct
-    rectangle construction, which tests pin down as an equal family.
+    Its closed family is generated by the cylinders F x Sigma2 and
+    Sigma1 x G of the factor closed sets, and that family is the
+    :func:`rectangle_family`: every cylinder is a rectangle, a cylinder of
+    each kind meet in F x G, and (F x G) ∩ (F' x G') = (F ∩ F') x (G ∩ G')
+    with both meets closed, so the rectangles are closed under intersection.
     """
     ppl1.require_valid()
     ppl2.require_valid()
-    n1, n2 = ppl1.n, ppl2.n
-    if n1 * n2 > GROUND_CAPACITY:
-        raise CapacityError(
-            f"product ground set of {n1}*{n2} atoms exceeds capacity {GROUND_CAPACITY}")
-    if via_rectangles:
-        cs = rectangle_family(ppl1.cs, ppl2.cs, max_family=max_family)
-    else:
-        gens = [cylinder1_mask(m, n1, n2) for m in ppl1.cs.masks]
-        gens += [cylinder2_mask(m, n1, n2) for m in ppl2.cs.masks]
-        cs = _meet_closure_masks(gens, n1 * n2, max_family=max_family)
+    cs = rectangle_family(ppl1.cs, ppl2.cs, max_family=max_family)
     if not cs.is_t1:
         raise InvariantViolationError("minimal product of T1 factors must be T1")
     orth = product_orthogonality(ppl1.orth, ppl2.orth)
@@ -124,14 +116,14 @@ def rectangle_family(cs1: ClosureSystem, cs2: ClosureSystem, *,
     if n1 * n2 > GROUND_CAPACITY:
         raise CapacityError(
             f"product ground set of {n1}*{n2} atoms exceeds capacity {GROUND_CAPACITY}")
+    cyl2 = [cylinder2_mask(g, n1, n2) for g in cs2.masks if g]
     masks = {0}
     for f in cs1.masks:
         if f == 0:
             continue
-        for g in cs2.masks:
-            if g == 0:
-                continue
-            masks.add(cylinder1_mask(f, n1, n2) & cylinder2_mask(g, n1, n2))
+        c1 = cylinder1_mask(f, n1, n2)
+        for c2 in cyl2:
+            masks.add(c1 & c2)
             if len(masks) > max_family:
                 raise CapacityError(f"closure family exceeds cap of {max_family} sets")
     return ClosureSystem.from_masks(n1 * n2, masks)

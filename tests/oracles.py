@@ -370,6 +370,21 @@ def rectangles(family1: set[frozenset[int]],
     return out
 
 
+def cylinders(family1: set[frozenset[int]], family2: set[frozenset[int]],
+              n1: int, n2: int) -> set[frozenset[tuple[int, int]]]:
+    """The cylinders F x Sigma2 and Sigma1 x G of the members of each side."""
+    out = {frozenset((a, b) for a in f for b in range(n2)) for f in family1}
+    out |= {frozenset((a, b) for a in range(n1) for b in g) for g in family2}
+    return out
+
+
+def minimal_product_family(family1: set[frozenset[int]], family2: set[frozenset[int]],
+                           n1: int, n2: int) -> set[frozenset[tuple[int, int]]]:
+    """The minimal product's closed sets by definition: the meet closure of the cylinders."""
+    ground = [(a, b) for a in range(n1) for b in range(n2)]
+    return saturate_intersections(cylinders(family1, family2, n1, n2), ground)
+
+
 # ---------------------------------------------------------------------------
 # certificate replays: confirm a reported counterexample from definitions
 

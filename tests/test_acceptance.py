@@ -170,13 +170,12 @@ def test_05_rectangle_closure_on_catalog_pairs():
                     continue
                 prod = minimal_product(p1, p2)
                 assert prod.cs.masks == rectangle_family(p1.cs, p2.cs).masks
-                assert minimal_product(p1, p2, via_rectangles=True).cs.masks == \
-                    prod.cs.masks
                 n2 = p2.n
-                oracle = {sum(1 << (a * n2 + b) for a, b in s)
-                          for s in ora.rectangles(ora.family_to_sets(p1.cs.masks),
-                                                  ora.family_to_sets(p2.cs.masks))}
-                assert set(prod.cs.masks) == oracle
+                fam1, fam2 = ora.family_to_sets(p1.cs.masks), ora.family_to_sets(p2.cs.masks)
+                for family in (ora.rectangles(fam1, fam2),
+                               ora.minimal_product_family(fam1, fam2, p1.n, n2)):
+                    oracle = {sum(1 << (a * n2 + b) for a, b in s) for s in family}
+                    assert set(prod.cs.masks) == oracle
                 checked += 1
         assert checked == 41
 

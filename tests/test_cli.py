@@ -267,6 +267,9 @@ def test_budget_value_exit_codes(run, monkeypatch, tmp_path, where, value, expec
     (ValueError("bad value"), 2),
     (errors.CapacityError("too big"), 3),
     (errors.BudgetExceededError(7), 3),
+    (AssertionError("broken assumption"), 2),
+    (KeyError("missing"), 2),
+    (RuntimeError("unexpected state"), 2),
 ])
 def test_error_class_exit_codes(run, monkeypatch, exc, expected):
     def fail(*args, **kwargs):
@@ -276,6 +279,8 @@ def test_error_class_exit_codes(run, monkeypatch, exc, expected):
     assert code == expected
     assert not out
     assert err.startswith("error\t") and "Traceback" not in err
+    if not isinstance(exc, (errors.OrthlabError, OSError, ValueError)):
+        assert err.startswith(f"error\tinternal error: {type(exc).__name__}: ")
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,10 @@ def test_closure_extensions_and_covers_match_oracle_everywhere(case):
             [family_closure(fam, mask_to_set(a | 1 << r)) for r in range(n)]
         for f in cs.elements():
             assert cs.covers(e, f) == covers(fam, mask_to_set(a), mask_to_set(f.atoms.bits))
+        expected = {f.id for f in cs.elements()
+                    if covers(fam, mask_to_set(a), mask_to_set(f.atoms.bits))}
+        assert cs.upper_covers(a) == expected
+        assert cs.upper_covers(a, ext) == expected
 
 
 def test_covers_with_non_singleton_atoms_and_a_nonempty_bottom():

@@ -149,13 +149,10 @@ def test_minimal_product_family_is_the_rectangle_family(name1, name2, request):
     rect = rectangle_family(ppl1.cs, ppl2.cs)
     assert prod.cs.masks == rect.masks
 
-    expected = ora.rectangles(ora.family_to_sets(ppl1.cs.masks),
-                              ora.family_to_sets(ppl2.cs.masks))
+    fam1, fam2 = ora.family_to_sets(ppl1.cs.masks), ora.family_to_sets(ppl2.cs.masks)
+    expected = ora.rectangles(fam1, fam2)
     assert _family_pairs(prod.cs.masks, ppl2.n) == expected
-
-    fast = O.minimal_product(ppl1, ppl2, via_rectangles=True)
-    assert fast.cs.masks == prod.cs.masks
-    assert fast.orth.rows == prod.orth.rows
+    assert ora.minimal_product_family(fam1, fam2, ppl1.n, ppl2.n) == expected
 
 
 def test_projections_of_closed_sets_are_closed(mo2_ppl, b3_ppl):

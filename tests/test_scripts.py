@@ -1,0 +1,73 @@
+"""The two scripts, run at small settings: exit codes and the shape of every line."""
+
+import importlib.util
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from orthlab.search import TARGETS
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+
+FLAG = "(yes|no|-)"
+SURVEY_LINE = re.compile(
+    rf"(boolean|mo):\d+\tatoms=\d+\telements=\d+\toc={FLAG}\tom={FLAG}"
+    rf"\tcovering=(yes|no)\tboolean={FLAG}\tirreducible={FLAG}"
+    r"\tsymmetries=\d+\tplane-transitive=(yes|no)")
+SUMMARY_LINE = re.compile(r"([a-z-]+)\tcount\t(\d+)\thits\t(\d+)\tinvalid\t\d+")
+
+
+def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_survey_catalog_defaults():
+    proc = _run_script("survey_catalog.py")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split("\t")[0] for line in lines] == \
+        ["boolean:1", "boolean:2", "boolean:3", "boolean:4", "boolean:5", "mo:2", "mo:3"]
+    for line in lines:
+        assert SURVEY_LINE.fullmatch(line), line
+
+
+def test_mine_counterexamples_small_run():
+    proc = _run_script("mine_counterexamples.py", "--count", "30")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(TARGETS)
+    for line, target in zip(lines, sorted(TARGETS)):
+        match = SUMMARY_LINE.fullmatch(line)
+        assert match, line
+        assert match.groups()[:3] == (target, "30", "0")
+
+
+@pytest.mark.parametrize("full_report", [False, True])
+def test_mine_counterexamples_prints_hits_as_report_lines(monkeypatch, capsys, full_report):
+    spec = importlib.util.spec_from_file_location("mine_counterexamples",
+                                                  SCRIPTS / "mine_counterexamples.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    target = "minimal-covering-nontrivial"
+    monkeypatch.setitem(TARGETS, target, lambda ss1, ss2: "forced hit")
+    argv = ["mine_counterexamples.py", "--count", "2", "--target", target]
+    monkeypatch.setattr(sys, "argv", argv + ["--full-report"] * full_report)
+    assert script.main() == 1
+    lines = capsys.readouterr().out.splitlines()
+    summary = f"{target}\tcount\t2\thits\t2\tinvalid\t0"
+    assert lines.count(summary) == 1
+    hits = [line for line in lines if line.startswith("hit\t")]
+    assert {line.split("\t")[1] for line in hits} == {"0", "1"}
+    assert all(line.split("\t")[2] in ("input1", "input2") for line in hits)
+    if full_report:
+        assert lines[-1] == summary
+        assert sum(line.startswith("instance\t") for line in lines) == 2
+    else:
+        assert lines == [summary] + hits
