@@ -1,8 +1,7 @@
 """orthlab: finite orthogonality spaces, property lattices, and their symmetries."""
 
 from .bitset import GROUND_CAPACITY, AtomSet
-from .closure import (DEFAULT_FAMILY_CAP, AbstractLattice, ClosureSystem, LatticeElement,
-                      closure_space_of, meet_closure)
+from .closure import DEFAULT_FAMILY_CAP, ClosureSystem, LatticeElement, meet_closure
 from .statespace import (PPL, CheckResult, OrthoRelation, StateSpace, ValidationReport,
                          biorthogonal_closure, perp, property_lattice, validate_state_space)
 from .axioms import (AxiomReport, Certificate, CheckStats, Orthocomplementation,
@@ -19,7 +18,7 @@ from .catalog import SplitMix64, boolean_space, mo_lantern, random_space
 from .formats import (parse_ppl, parse_statespace, serialize_ppl, serialize_statespace)
 from .dot import export_dot
 from .errors import (BudgetExceededError, CapacityError, CouldNotSeparateError,
-                     InvalidInstanceError, InvariantViolationError, NotALatticeError,
-                     NotAtomisticError, OrthlabError, ParseError)
+                     InvalidInstanceError, InvariantViolationError, OrthlabError,
+                     ParseError)
 
 __version__ = "0.1.0"

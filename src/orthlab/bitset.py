@@ -8,7 +8,7 @@ product constructions from silently building enormous ground sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 #: Hard cap on ground-set size.  Big enough for every supported workload,
 #: small enough that runaway product constructions fail loudly.
@@ -21,6 +21,16 @@ def mask_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def permute_mask(perm: Sequence[int], mask: int) -> int:
+    """Image of ``mask`` under the atom map i -> perm[i]."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def canonical_key(mask: int) -> tuple[int, int]:

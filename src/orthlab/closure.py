@@ -6,22 +6,16 @@ joins go through the closure operator (smallest closed superset), which
 reads the closed supersets of a set off one bitmap per atom over the
 element indices.  The family generated by arbitrary sets is computed by
 :func:`meet_closure`.
-
-:class:`AbstractLattice` is the extensional counterpart: a finite lattice
-given only by its order matrix.  :func:`closure_space_of` turns an
-atomistic one back into the closure system of its atom supports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-import numpy as np
-
-from .bitset import GROUND_CAPACITY, AtomSet, canonical_key
-from .errors import CapacityError, NotALatticeError, NotAtomisticError
+from .bitset import GROUND_CAPACITY, AtomSet, canonical_key, permute_mask
+from .errors import CapacityError
 
 #: Default cap on family size for generated closure systems.
 DEFAULT_FAMILY_CAP = 1_000_000
@@ -67,10 +61,6 @@ class ClosureSystem:
     def from_masks(cls, n: int, masks: Iterable[int]) -> "ClosureSystem":
         return cls(n, tuple(sorted(set(masks), key=canonical_key)))
 
-    @classmethod
-    def from_atomsets(cls, n: int, sets: Iterable[AtomSet]) -> "ClosureSystem":
-        return cls.from_masks(n, (s.bits for s in sets))
-
     # -- derived structure ------------------------------------------------
 
     @cached_property
@@ -83,12 +73,16 @@ class ClosureSystem:
 
         Bit m-1-i of ``_cols[r]`` is set when masks[i] contains r (m
         elements), so the lowest index in a bitmap x is m - x.bit_length().
+
+        The transpose runs in C: each mask is written as bin(mask | 1 << n),
+        which is "0b1" and then its n bits, the strings are joined, and atom
+        r's column, read from element 0 onwards, is every w-th character
+        (w = n + 3) from position w-1-r.
         """
-        nbytes = (self.n + 7) // 8
-        arr = np.array(self.masks[::-1], dtype="<u8").view(np.uint8).reshape(-1, 8)[:, :nbytes]
-        bits = np.unpackbits(arr, axis=1, bitorder="little")[:, :self.n]
-        packed = np.packbits(bits, axis=0, bitorder="little").T.copy()
-        return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+        n = self.n
+        w = n + 3
+        bits = "".join(map(bin, map((1 << n).__or__, self.masks)))
+        return tuple(int(bits[w - 1 - r::w], 2) for r in range(n))
 
     def _superset_bits(self, mask: int) -> int:
         """Bitmap (as in ``_cols``) of the closed supersets of ``mask``.
@@ -102,10 +96,6 @@ class ClosureSystem:
             sup &= cols[low.bit_length() - 1]
             mask ^= low
         return sup
-
-    @cached_property
-    def closed(self) -> tuple[AtomSet, ...]:
-        return tuple(AtomSet(m, self.n) for m in self.masks)
 
     @cached_property
     def is_t1(self) -> bool:
@@ -128,10 +118,6 @@ class ClosureSystem:
 
     def element(self, i: int) -> LatticeElement:
         return LatticeElement(i, AtomSet(self.masks[i], self.n))
-
-    def elements(self) -> Iterator[LatticeElement]:
-        for i in range(len(self.masks)):
-            yield self.element(i)
 
     @property
     def bottom_id(self) -> int:
@@ -167,21 +153,6 @@ class ClosureSystem:
         own = m - sup.bit_length()
         cols = self._cols
         return [own if (a >> r) & 1 else m - (sup & cols[r]).bit_length() for r in range(self.n)]
-
-    def meet_mask(self, a: int, b: int) -> int:
-        return a & b
-
-    def join_mask(self, a: int, b: int) -> int:
-        return self.closure_mask(a | b)
-
-    def meet(self, a: LatticeElement, b: LatticeElement) -> LatticeElement:
-        return self.element(self.id_of(a.atoms.bits & b.atoms.bits))
-
-    def join(self, a: LatticeElement, b: LatticeElement) -> LatticeElement:
-        return self.element(self.id_of(self.join_mask(a.atoms.bits, b.atoms.bits)))
-
-    def le(self, a: LatticeElement, b: LatticeElement) -> bool:
-        return a.atoms.issubset(b.atoms)
 
     def upper_covers(self, a: int, ext: list[int] | None = None) -> set[int]:
         """Indices of the elements covering a closed ``a``, as an unsorted set.
@@ -226,32 +197,12 @@ class ClosureSystem:
         Checking one direction suffices for "closed both ways": the image map
         is injective on a finite family, so if every image is a member the
         family maps onto itself.
-
-        Images are looked up a byte of atoms at a time: ``tables[k][v]`` is
-        the image of the byte value v placed at atoms 8k..8k+7.
         """
-        imgs = [1 << t for t in perm]
-        tables = []
-        for lo in range(0, len(imgs), 8):
-            chunk = imgs[lo:lo + 8]
-            tbl = [0] * (1 << len(chunk))
-            for v in range(1, len(tbl)):
-                low = v & -v
-                tbl[v] = tbl[v ^ low] | chunk[low.bit_length() - 1]
-            tables.append(tbl)
         idx = self._index
         for m in self.masks:
-            img = 0
-            rest = m
-            for tbl in tables:
-                img |= tbl[rest & 255]
-                rest >>= 8
-            if img not in idx:
+            if permute_mask(perm, m) not in idx:
                 return m
         return None
-
-    def maps_onto_itself(self, perm: Sequence[int]) -> bool:
-        return self.permutation_failure(perm) is None
 
 
 def meet_closure(generators: Sequence[AtomSet], n: int, *,
@@ -278,140 +229,3 @@ def _meet_closure_masks(gen_masks: Iterable[int], n: int, *,
             raise CapacityError(
                 f"closure family exceeds cap of {max_family} sets")
     return ClosureSystem.from_masks(n, family)
-
-
-class AbstractLattice:
-    """A finite lattice given extensionally by its order matrix.
-
-    ``le[i, j]`` is True iff element i is below element j.  Nothing is
-    assumed up front; :meth:`order_defect` and the bound tables report
-    exactly what breaks.
-    """
-
-    def __init__(self, le):
-        arr = np.array(le, dtype=bool)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("order matrix must be square")
-        if arr.shape[0] < 1:
-            raise ValueError("lattice must be nonempty")
-        arr.setflags(write=False)
-        self.le = arr
-        self.m = arr.shape[0]
-
-    @classmethod
-    def from_closure_system(cls, cs: ClosureSystem) -> "AbstractLattice":
-        m = len(cs.masks)
-        le = np.zeros((m, m), dtype=bool)
-        for i, a in enumerate(cs.masks):
-            for j, b in enumerate(cs.masks):
-                le[i, j] = a & ~b == 0
-        return cls(le)
-
-    def order_defect(self) -> str | None:
-        le = self.le
-        if not le.diagonal().all():
-            i = int(np.flatnonzero(~le.diagonal())[0])
-            return f"not reflexive at element {i}"
-        both = (le & le.T).copy()
-        np.fill_diagonal(both, False)
-        if both.any():
-            i, j = map(int, np.argwhere(both)[0])
-            return f"not antisymmetric: {i} <= {j} <= {i}"
-        closed = (le.astype(np.uint8) @ le.astype(np.uint8)) > 0
-        gap = closed & ~le
-        if gap.any():
-            i, j = map(int, np.argwhere(gap)[0])
-            return f"not transitive: {i} <= ... <= {j} but not {i} <= {j}"
-        return None
-
-    def _least_of(self, member_mask: np.ndarray) -> int | None:
-        """Index of the least element of a subset, or None if there is none."""
-        for k in np.flatnonzero(member_mask):
-            if (self.le[k] | ~member_mask).all():
-                return int(k)
-        return None
-
-    @cached_property
-    def join_table(self) -> np.ndarray:
-        out = np.empty((self.m, self.m), dtype=np.int64)
-        for i in range(self.m):
-            for j in range(i, self.m):
-                ub = self.le[i] & self.le[j]
-                k = self._least_of(ub)
-                if k is None:
-                    raise NotALatticeError(f"elements {i} and {j} have no least upper bound")
-                out[i, j] = out[j, i] = k
-        return out
-
-    @cached_property
-    def meet_table(self) -> np.ndarray:
-        out = np.empty((self.m, self.m), dtype=np.int64)
-        for i in range(self.m):
-            for j in range(i, self.m):
-                lb = self.le[:, i] & self.le[:, j]
-                # greatest lower bound: dual of _least_of
-                k = None
-                for c in np.flatnonzero(lb):
-                    if (self.le[:, c] | ~lb).all():
-                        k = int(c)
-                        break
-                if k is None:
-                    raise NotALatticeError(f"elements {i} and {j} have no greatest lower bound")
-                out[i, j] = out[j, i] = k
-        return out
-
-    @cached_property
-    def bottom(self) -> int:
-        for i in range(self.m):
-            if self.le[i].all():
-                return i
-        raise NotALatticeError("no bottom element")
-
-    @cached_property
-    def lattice_atoms(self) -> tuple[int, ...]:
-        bot = self.bottom
-        atoms = []
-        for x in range(self.m):
-            if x == bot:
-                continue
-            if not any(y != bot and y != x and self.le[y, x] for y in range(self.m)):
-                atoms.append(x)
-        return tuple(atoms)
-
-    def join_all(self, xs: Iterable[int]) -> int:
-        jt = self.join_table
-        acc = self.bottom
-        for x in xs:
-            acc = int(jt[acc, x])
-        return acc
-
-
-def closure_space_of(lat: AbstractLattice) -> ClosureSystem:
-    """Closure system of atom supports of an atomistic lattice.
-
-    A subset F of the atoms is closed iff every atom below the join of F
-    already lies in F; those subsets are exactly the atom supports
-    ``{atoms below x}`` of lattice elements, which is what gets built.
-    Raises :class:`NotALatticeError` / :class:`NotAtomisticError` otherwise.
-    """
-    defect = lat.order_defect()
-    if defect is not None:
-        raise NotALatticeError(defect)
-    lat.meet_table  # existence check for meets
-    atoms = lat.lattice_atoms
-    k = len(atoms)
-    pos = {a: i for i, a in enumerate(atoms)}
-    masks = []
-    for x in range(lat.m):
-        below = [a for a in atoms if lat.le[a, x]]
-        if lat.join_all(below) != x:
-            raise NotAtomisticError(x)
-        mask = 0
-        for a in below:
-            mask |= 1 << pos[a]
-        masks.append(mask)
-    if len(set(masks)) != lat.m:  # pragma: no cover - excluded by atomisticity
-        raise NotALatticeError("atom supports are not distinct")
-    if k == 0:
-        raise ValueError("one-element lattice has no atoms; empty ground sets are unsupported")
-    return ClosureSystem.from_masks(k, masks)

@@ -48,17 +48,5 @@ class ParseError(OrthlabError):
         super().__init__(message + where)
 
 
-class NotALatticeError(OrthlabError):
-    """An order matrix is not a lattice (order axiom broken or a bound missing)."""
-
-
-class NotAtomisticError(OrthlabError):
-    """A lattice element is not the join of the atoms below it."""
-
-    def __init__(self, element: int):
-        self.element = element
-        super().__init__(f"element {element} is not the join of the atoms below it")
-
-
 class CouldNotSeparateError(OrthlabError):
     """The random generator never produced a separating relation."""

@@ -136,11 +136,13 @@ def serialize_statespace(ss: StateSpace) -> str:
 def parse_ppl(text: str, *, validate: bool = True) -> PPL:
     """Parse a ``ppl v1`` document.
 
-    The implied T1 sets (empty, singletons, full) are inserted, then the
-    family is verified intersection-closed; a missing intersection is
-    reported with the offending pair.  The result is marked
-    ``biorthogonal`` when the family is exactly the double-perp family.
-    ``validate`` additionally runs the orthogonality axioms.
+    The implied T1 sets (empty, singletons, full) are inserted.  The
+    result is marked ``biorthogonal`` when the family is exactly the
+    double-perp family, which is intersection-closed because
+    A⊥⊥ ∩ B⊥⊥ = (A⊥ ∪ B⊥)⊥.  Any other family is verified
+    intersection-closed pair by pair; a missing intersection is reported
+    with the offending pair.  ``validate`` additionally runs the
+    orthogonality axioms.
     """
     lines = _tokenize(text)
     if not lines:
@@ -175,7 +177,8 @@ def parse_ppl(text: str, *, validate: bool = True) -> PPL:
         closed_decls.append((mask, toks[0][1]))
     family = {0, (1 << n) - 1} | {1 << p for p in range(n)} | explicit
     cs = ClosureSystem.from_masks(n, family)
-    defect = cs.intersection_defect()
+    biorthogonal = is_biorthogonal_family(cs, orth)
+    defect = None if biorthogonal else cs.intersection_defect()
     if defect is not None:
         f, g = defect
         raise ParseError(
@@ -183,8 +186,7 @@ def parse_ppl(text: str, *, validate: bool = True) -> PPL:
             f"{format_atom_set(f, tuple(reader.labels))} and "
             f"{format_atom_set(g, tuple(reader.labels))} meet in a missing set",
             next((ln for m, ln in closed_decls if m in (f, g)), lines[0][0][1]))
-    ppl = PPL(cs=cs, orth=orth, labels=tuple(reader.labels),
-              biorthogonal=is_biorthogonal_family(cs, orth))
+    ppl = PPL(cs=cs, orth=orth, labels=tuple(reader.labels), biorthogonal=biorthogonal)
     if validate:
         report = ppl.validate()
         if not report.ok:

@@ -15,7 +15,6 @@ constructions produce ppl's whose family is not the biorthogonal one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Iterator
 
 from .bitset import AtomSet, mask_bits
@@ -75,9 +74,6 @@ class OrthoRelation:
             rows[q] |= 1 << p
         return cls(n, tuple(rows))
 
-    def row(self, p: int) -> AtomSet:
-        return AtomSet(self.rows[p], self.n)
-
     def orthogonal(self, p: int, q: int) -> bool:
         return (self.rows[p] >> q) & 1 == 1
 
@@ -86,9 +82,6 @@ class OrthoRelation:
         for p in range(self.n):
             for q in mask_bits(self.rows[p] >> (p + 1) << (p + 1)):
                 yield (p, q)
-
-    def degree(self, p: int) -> int:
-        return self.rows[p].bit_count()
 
     def perp_mask(self, mask: int) -> int:
         out = (1 << self.n) - 1
@@ -141,10 +134,6 @@ class StateSpace:
     @property
     def n(self) -> int:
         return self.orth.n
-
-    @cached_property
-    def label_index(self) -> dict[str, int]:
-        return {lab: i for i, lab in enumerate(self.labels)}
 
     def require_valid(self) -> None:
         report = validate_state_space(self)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .bitset import mask_bits
+from .bitset import mask_bits, permute_mask
 from .errors import BudgetExceededError, InvariantViolationError
 from .statespace import PPL
 
@@ -43,7 +43,7 @@ class Symmetry:
         return self.perm[atom]
 
     def image_mask(self, mask: int) -> int:
-        return _image(self.perm, mask)
+        return permute_mask(self.perm, mask)
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,12 @@ class _Budget:
 
 
 def symmetry_failure(ppl: PPL, perm: Sequence[int]) -> SymmetryDefect | None:
-    """First reason ``perm`` is not a symmetry, or None if it is one."""
+    """First reason ``perm`` is not a symmetry, or None if it is one.
+
+    On a property lattice only orthogonality is checked: a bijection that
+    preserves it both ways maps the family onto itself (see
+    :func:`_backtrack`).
+    """
     n = ppl.n
     if sorted(perm) != list(range(n)):
         raise ValueError("not a permutation of the atoms")
@@ -99,6 +104,8 @@ def symmetry_failure(ppl: PPL, perm: Sequence[int]) -> SymmetryDefect | None:
         for q in range(n):
             if orth.orthogonal(p, q) != orth.orthogonal(perm[p], perm[q]):
                 return SymmetryDefect("orthogonality", pair=(p, q))
+    if ppl.biorthogonal:
+        return None
     bad = ppl.cs.permutation_failure(perm)
     if bad is not None:
         return SymmetryDefect("closed-set", mask=bad)
@@ -126,15 +133,6 @@ def _atom_signatures(ppl: PPL) -> tuple:
         (ppl.orth.rows[p].bit_count(), tuple(sorted(prof[p].items())))
         for p in range(n)
     )
-
-
-def _image(perm: Sequence[int], mask: int) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << perm[low.bit_length() - 1]
-        mask ^= low
-    return out
 
 
 def _backtrack(ppl: PPL, pins: dict[int, int], budget: _Budget,
@@ -169,7 +167,7 @@ def _backtrack(ppl: PPL, pins: dict[int, int], budget: _Budget,
         dom |= 1 << p
         used |= 1 << q
     for p in pins:
-        if rows[perm[p]] & used != _image(perm, rows[p] & dom):
+        if rows[perm[p]] & used != permute_mask(perm, rows[p] & dom):
             return
     completes: list[list[int]] = [[] for _ in range(n)]
     if not ppl.biorthogonal:
@@ -177,7 +175,7 @@ def _backtrack(ppl: PPL, pins: dict[int, int], budget: _Budget,
             rest = m & ~dom
             if rest:
                 completes[rest.bit_length() - 1].append(m)
-            elif _image(perm, m) not in cs:
+            elif permute_mask(perm, m) not in cs:
                 return
     free = [p for p in range(n) if not (dom >> p) & 1]
     by_sig: dict = {}
@@ -189,14 +187,14 @@ def _backtrack(ppl: PPL, pins: dict[int, int], budget: _Budget,
             yield tuple(perm)
             return
         pos = free[k]
-        req = _image(perm, rows[pos] & assigned)
+        req = permute_mask(perm, rows[pos] & assigned)
         rest = None  # images of the sets pos completes, minus pos itself
         for q in by_sig[sigs[pos]]:
             budget.spend()
             if (used >> q) & 1 or rows[q] & used != req:
                 continue
             if rest is None:
-                rest = [_image(perm, m ^ 1 << pos) for m in completes[pos]]
+                rest = [permute_mask(perm, m ^ 1 << pos) for m in completes[pos]]
             if all(r | 1 << q in cs for r in rest):
                 perm[pos] = q
                 yield from descend(k + 1, assigned | 1 << pos, used | 1 << q)

@@ -260,15 +260,13 @@ def test_budget_value_exit_codes(run, monkeypatch, tmp_path, where, value, expec
     (errors.InvalidInstanceError(ValidationReport((CheckResult("t1", False),))), 2),
     (errors.CouldNotSeparateError("no separating relation"), 2),
     (errors.InvariantViolationError("broken invariant"), 2),
-    (errors.NotALatticeError("no least upper bound"), 2),
-    (errors.NotAtomisticError(3), 2),
     (errors.OrthlabError("generic"), 2),
     (OSError("unreadable"), 2),
     (ValueError("bad value"), 2),
-    (errors.CapacityError("too big"), 3),
-    (errors.BudgetExceededError(7), 3),
     (AssertionError("broken assumption"), 2),
     (KeyError("missing"), 2),
+    (errors.CapacityError("too big"), 3),
+    (errors.BudgetExceededError(7), 3),
     (RuntimeError("unexpected state"), 2),
 ])
 def test_error_class_exit_codes(run, monkeypatch, exc, expected):

@@ -1,18 +1,14 @@
-"""Closure systems, meets and joins, and the abstract-lattice view."""
+"""Closure systems: construction, meet closure, closures, covers."""
 
-import numpy as np
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthlab.bitset import AtomSet
-from orthlab.closure import (
-    AbstractLattice,
-    ClosureSystem,
-    closure_space_of,
-    meet_closure,
-)
-from orthlab.errors import CapacityError, NotALatticeError, NotAtomisticError
+from orthlab.bitset import GROUND_CAPACITY, AtomSet
+from orthlab.closure import ClosureSystem, meet_closure
+from orthlab.errors import CapacityError
 
 from oracles import (
     covers,
@@ -22,7 +18,6 @@ from oracles import (
     family_to_sets,
     mask_to_set,
     saturate_intersections,
-    set_to_mask,
 )
 
 
@@ -123,9 +118,9 @@ def test_closure_and_bounds_match_oracle(case, x, y):
     assert a & ~cl == 0
     assert cs.closure_mask(cl) == cl
     ca, cb = cs.closure_mask(a), cs.closure_mask(b)
-    assert mask_to_set(cs.join_mask(ca, cb)) == \
+    assert mask_to_set(cs.closure_mask(ca | cb)) == \
         family_join(fam, mask_to_set(ca), mask_to_set(cb))
-    assert cs.meet_mask(ca, cb) == ca & cb
+    assert ca & cb in cs
 
 
 @given(families)
@@ -135,17 +130,38 @@ def test_closure_extensions_and_covers_match_oracle_everywhere(case):
     fam = family_to_sets(cs.masks)
     for x in range(1 << n):
         assert mask_to_set(cs.closure_mask(x)) == family_closure(fam, mask_to_set(x))
-    for e in cs.elements():
+    elements = [cs.element(i) for i in range(len(cs))]
+    for e in elements:
         a = e.atoms.bits
         ext = cs.one_point_extensions(a)
         assert [mask_to_set(cs.masks[k]) for k in ext] == \
             [family_closure(fam, mask_to_set(a | 1 << r)) for r in range(n)]
-        for f in cs.elements():
+        for f in elements:
             assert cs.covers(e, f) == covers(fam, mask_to_set(a), mask_to_set(f.atoms.bits))
-        expected = {f.id for f in cs.elements()
+        expected = {f.id for f in elements
                     if covers(fam, mask_to_set(a), mask_to_set(f.atoms.bits))}
         assert cs.upper_covers(a) == expected
         assert cs.upper_covers(a, ext) == expected
+
+
+@pytest.mark.parametrize("n, k", [(9, 12), (13, 12), (GROUND_CAPACITY, 8)])
+def test_closure_kernel_matches_oracle_on_wide_ground_sets(n, k):
+    # k random generators of density 3/4: their meet closures hold 100-260 sets
+    rng = random.Random(n)
+    gens = [AtomSet(rng.getrandbits(n) | rng.getrandbits(n), n) for _ in range(k)]
+    cs = meet_closure(gens, n)
+    m = len(cs)
+    assert m > 100
+    assert cs._cols == tuple(
+        sum(1 << (m - 1 - i) for i, x in enumerate(cs.masks) if (x >> r) & 1)
+        for r in range(n))
+    fam = family_to_sets(cs.masks)
+    for _ in range(200):
+        x = rng.choice(cs.masks) & rng.getrandbits(n) | 1 << rng.randrange(n)
+        assert mask_to_set(cs.closure_mask(x)) == family_closure(fam, mask_to_set(x))
+    for a in cs.masks:
+        assert [mask_to_set(cs.masks[j]) for j in cs.one_point_extensions(a)] == \
+            [family_closure(fam, mask_to_set(a | 1 << r)) for r in range(n)]
 
 
 def test_covers_with_non_singleton_atoms_and_a_nonempty_bottom():
@@ -153,8 +169,9 @@ def test_covers_with_non_singleton_atoms_and_a_nonempty_bottom():
     cs = ClosureSystem.from_masks(5, [0b00001, 0b00111, 0b01001, 0b01111, 0b11111])
     fam = family_to_sets(cs.masks)
     assert [e.atoms.bits for e in cs.lattice_atoms()] == [0b01001, 0b00111]
-    for e in cs.elements():
-        for f in cs.elements():
+    elements = [cs.element(i) for i in range(len(cs))]
+    for e in elements:
+        for f in elements:
             assert cs.covers(e, f) == covers(fam, mask_to_set(e.atoms.bits),
                                              mask_to_set(f.atoms.bits))
     assert not cs.covers(cs.element(0), cs.element(4))
@@ -193,7 +210,7 @@ def test_covers_in_a_boolean_cube(b3_ppl):
 def test_element_lookup_and_iteration(b3_ppl):
     cs = b3_ppl.cs
     assert len(cs) == 8
-    assert [e.id for e in cs.elements()] == list(range(8))
+    assert [cs.element(i).id for i in range(len(cs))] == list(range(8))
     e = cs.element(3)
     assert cs.id_of(e.atoms.bits) == 3
     assert e.atoms.bits in cs
@@ -215,7 +232,6 @@ def test_permutation_failure_basics():
     cs = ClosureSystem.from_masks(2, [0b00, 0b01, 0b11])
     assert cs.permutation_failure((0, 1)) is None
     assert cs.permutation_failure((1, 0)) == 0b01
-    assert not cs.maps_onto_itself((1, 0))
 
 
 def test_permutation_failure_vectorized_path_matches_scalar():
@@ -232,70 +248,3 @@ def test_permutation_failure_vectorized_path_matches_scalar():
     cs2 = ClosureSystem.from_masks(12, masks)
     assert cs2.permutation_failure(ident) is None
     assert cs2.permutation_failure(swap01) == 6
-
-
-# ---------------------------------------------------------------------------
-# the abstract lattice view and the closure system it induces
-
-def test_abstract_lattice_tables_match_family_ops(b3_ppl):
-    cs = b3_ppl.cs
-    lat = AbstractLattice.from_closure_system(cs)
-    assert lat.order_defect() is None
-    fam = family_to_sets(cs.masks)
-    for i, a in enumerate(cs.masks):
-        for j, b in enumerate(cs.masks):
-            jid = int(lat.join_table[i, j])
-            mid = int(lat.meet_table[i, j])
-            assert cs.masks[jid] == set_to_mask(
-                family_join(fam, mask_to_set(a), mask_to_set(b)))
-            assert cs.masks[mid] == a & b
-    assert lat.bottom == cs.bottom_id
-    assert lat.lattice_atoms == tuple(e.id for e in cs.lattice_atoms())
-    assert lat.join_all([]) == lat.bottom
-    assert lat.join_all(lat.lattice_atoms) == cs.top_id
-
-
-def test_order_defect_catches_a_broken_order():
-    le = np.ones((2, 2), dtype=bool)  # 0 <= 1 and 1 <= 0: not antisymmetric
-    assert AbstractLattice(le).order_defect() is not None
-    le = np.eye(3, dtype=bool)
-    le[0, 1] = le[1, 2] = True  # transitivity gap: 0 <= 2 missing
-    assert AbstractLattice(le).order_defect() is not None
-
-
-def test_join_table_raises_when_upper_bounds_have_no_least():
-    # diamond-free poset: 0,1 both below 2,3 with no top
-    le = np.eye(4, dtype=bool)
-    for a in (0, 1):
-        for b in (2, 3):
-            le[a, b] = True
-    lat = AbstractLattice(le)
-    assert lat.order_defect() is None
-    with pytest.raises(NotALatticeError):
-        lat.join_table
-
-
-def test_bad_matrix_shapes_are_rejected():
-    with pytest.raises(ValueError):
-        AbstractLattice(np.zeros((2, 3), dtype=bool))
-    with pytest.raises(ValueError):
-        AbstractLattice(np.zeros((0, 0), dtype=bool))
-
-
-def test_closure_space_roundtrip(b3_ppl, mo2_ppl):
-    for ppl in (b3_ppl, mo2_ppl):
-        lat = AbstractLattice.from_closure_system(ppl.cs)
-        assert closure_space_of(lat).masks == ppl.cs.masks
-
-
-def test_closure_space_of_rejects_non_atomistic_lattice():
-    chain = ClosureSystem.from_masks(2, [0b00, 0b01, 0b11])
-    lat = AbstractLattice.from_closure_system(chain)
-    with pytest.raises(NotAtomisticError):
-        closure_space_of(lat)
-
-
-def test_closure_space_of_rejects_one_element_lattice():
-    lat = AbstractLattice(np.ones((1, 1), dtype=bool))
-    with pytest.raises(ValueError):
-        closure_space_of(lat)

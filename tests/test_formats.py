@@ -178,6 +178,16 @@ def test_ppl_intersection_defect_reports_the_pair():
     assert err.value.line == 3
 
 
+def test_ppl_of_a_property_lattice_skips_the_pairwise_intersection_scan(monkeypatch, mo3_ppl):
+    # a double-perp family is intersection-closed by the Galois connection
+    def scan(self):
+        raise AssertionError("pairwise intersection scan ran")
+    monkeypatch.setattr(O.ClosureSystem, "intersection_defect", scan)
+    ppl = parse_ppl(serialize_ppl(mo3_ppl))
+    assert ppl.biorthogonal
+    assert ppl.cs.masks == mo3_ppl.cs.masks
+
+
 def test_ppl_validation_failure():
     with pytest.raises(InvalidInstanceError):
         parse_ppl("ppl v1\natoms a b\n")  # empty orthogonality cannot separate

@@ -1,4 +1,7 @@
-"""The two scripts, run at small settings: exit codes and the shape of every line."""
+"""The two scripts, run at small settings: exit codes and the shape of every line.
+
+Also the package import in a fresh interpreter, which must not load numpy.
+"""
 
 import importlib.util
 import os
@@ -26,6 +29,15 @@ def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run([sys.executable, str(SCRIPTS / name), *args], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, orthlab, orthlab.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_survey_catalog_defaults():

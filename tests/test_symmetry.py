@@ -163,11 +163,28 @@ def test_orthogonality_automorphisms_suffice_on_property_lattices(random_batch):
         if ss.n > 4:
             continue
         ppl = O.property_lattice(ss)
-        orth = ora.rows_to_dict(ss.orth.rows)
+        orth, fam = _orth_and_family(ppl)
         for perm in itertools.permutations(range(ss.n)):
             preserves = all((q in orth[p]) == (perm[q] in orth[perm[p]])
                             for p in range(ss.n) for q in range(ss.n))
-            assert preserves == is_symmetry(ppl, perm)
+            assert preserves == is_symmetry(ppl, perm) == ora.is_symmetry_perm(orth, fam, perm)
+
+
+def test_symmetry_failure_matches_oracle_off_property_lattices():
+    # families that are not biorthogonal keep the closed-set check
+    ppls = [p for p in _small_products() + _random_families() if not p.biorthogonal]
+    closed_set_defects = 0
+    for ppl in ppls:
+        orth, fam = _orth_and_family(ppl)
+        for perm in itertools.islice(itertools.permutations(range(ppl.n)), 0, None, 7):
+            defect = symmetry_failure(ppl, perm)
+            assert (defect is None) == ora.is_symmetry_perm(orth, fam, perm)
+            if defect is not None and defect.kind == "closed-set":
+                closed_set_defects += 1
+                assert defect.mask == next(  # the canonically first one
+                    m for m in ppl.cs.masks
+                    if frozenset(perm[i] for i in ora.mask_to_set(m)) not in fam)
+    assert closed_set_defects
 
 
 def test_budget_exhaustion_raises(mo3_ppl):
