@@ -37,8 +37,8 @@ def main() -> int:
         report = run_search(SearchSpec(target, args.count, nmax=args.nmax,
                                        density=args.density, seed=args.seed))
         lines = render_report(report).splitlines(keepends=True)
-        if args.full_report:
-            sys.stdout.writelines(lines)
+        if args.full_report:  # the summary line below replaces the report's own
+            sys.stdout.writelines(line for line in lines if not line.startswith("summary\t"))
         print(f"{target}\tcount\t{len(report.instances)}"
               f"\thits\t{len(report.hits)}\tinvalid\t{report.invalid}")
         if not args.full_report:

@@ -15,11 +15,25 @@ class BudgetExceededError(OrthlabError):
     """A backtracking search ran out of its node budget.
 
     Distinct from "no result exists": the search outcome is unknown.
+    ``query`` is the (p, q) probe that ran out, searching a symmetry that
+    maps atom p to atom q, and ``plane`` the (p1, p2) whose plane that
+    probe held fixed; the searches that know them fill them in on the way
+    out, and the message names them.
     """
 
     def __init__(self, nodes: int, message: str = ""):
         self.nodes = nodes
+        self.query: tuple[int, int] | None = None
+        self.plane: tuple[int, int] | None = None
         super().__init__(message or f"search budget exhausted after {nodes} node expansions")
+
+    def __str__(self) -> str:
+        text = super().__str__()
+        if self.query is not None:
+            text += " mapping atom {} to atom {}".format(*self.query)
+        if self.plane is not None:
+            text += " with the plane of atoms {} and {} fixed".format(*self.plane)
+        return text
 
 
 class InvariantViolationError(OrthlabError):

@@ -11,13 +11,20 @@ closed set is checked once, as soon as all of its atoms have images; on a
 property lattice no closed-set check is needed at all (see
 :func:`_backtrack`).
 
-The group order is the product of the basic orbit lengths along the base
-0, 1, ..., n-1, each orbit point found by one pinned existence probe, so
-the group is never listed to be counted.  A plane witness for (p, q) is a
-symmetry carrying p to q while fixing, atom by atom, the join of two
-distinct atoms.  Searches are budgeted: running out raises
-:class:`BudgetExceededError`, which is an "unknown" outcome, never a
-negative one.
+Group orders, group transitivity and plane witnesses are decided by
+pinned existence probes: is there a symmetry in a group G (all
+symmetries, or those fixing some atoms) that maps p to q?  Each search
+keeps an orbit record of G (:class:`_Orbits`): a symmetry a probe finds
+joins the classes along all of its cycles, and a failed probe marks two
+whole classes as lying in different orbits.  A probe whose answer the
+record already holds is skipped, so the searches run a subset of the
+one-probe-per-pair loops with the same answers.  The group order is the
+product of the basic orbit lengths along the base 0, 1, ..., n-1, read
+off the records, so the group is never listed to be counted.  A plane
+witness for (p, q) is a symmetry carrying p to q while fixing, atom by
+atom, the join of two distinct atoms.  Searches are budgeted: running
+out raises :class:`BudgetExceededError`, which is an "unknown" outcome,
+never a negative one.
 """
 
 from __future__ import annotations
@@ -202,8 +209,65 @@ def _backtrack(ppl: PPL, pins: dict[int, int], budget: _Budget,
     yield from descend(0, dom, used)
 
 
-def _exists(ppl: PPL, pins: dict[int, int], budget: _Budget, sigs: tuple) -> bool:
-    return next(_backtrack(ppl, pins, budget, sigs), None) is not None
+class _Orbits:
+    """What is known of the orbits of one group G of symmetries.
+
+    ``cls[a]`` is the mask of a's class, atoms known to share a's orbit:
+    every merge follows the cycles of a symmetry in G.  ``apart[a]`` holds
+    atoms known to lie in another orbit, the same mask for every atom of a
+    class.  A failed probe p -> q shows that no member of G maps p to q;
+    no member maps q to p either, or its inverse would, so the two whole
+    classes are apart, both ways.  Classes only grow, so an atom recorded
+    apart from a class stays apart from every class it merges into.  This
+    is the orbit bookkeeping of Seress, *Permutation Group Algorithms*
+    (2003), kept as class masks.
+    """
+
+    __slots__ = ("cls", "apart")
+
+    def __init__(self, n: int, generators: Sequence[Sequence[int]] = ()):
+        self.cls = [1 << a for a in range(n)]
+        self.apart = [0] * n
+        for g in generators:
+            self.merge(g)
+
+    def merge(self, perm: Sequence[int]) -> None:
+        """Join the classes along every cycle of ``perm``, a member of G."""
+        cls, apart = self.cls, self.apart
+        for a, b in enumerate(perm):
+            if not cls[a] >> b & 1:
+                if apart[a] & cls[b]:
+                    raise InvariantViolationError(
+                        f"a symmetry maps atom {a} to atom {b}, which a probe found apart")
+                joined, known = cls[a] | cls[b], apart[a] | apart[b]
+                for x in mask_bits(joined):
+                    cls[x] = joined
+                    apart[x] = known
+
+    def probe(self, ppl: PPL, pins: dict[int, int], p: int, q: int,
+              budget: _Budget, sigs: tuple) -> tuple[int, ...] | None:
+        """First symmetry with ``pins``, the pins of G plus p -> q; None if none.
+
+        Skipped when p and q are known apart; otherwise the ``_backtrack``
+        probe runs and its answer is recorded.
+        """
+        cls, apart = self.cls, self.apart
+        if apart[p] & cls[q]:
+            return None
+        try:
+            perm = next(_backtrack(ppl, pins, budget, sigs), None)
+        except BudgetExceededError as exc:
+            exc.query = (p, q)
+            raise
+        if perm is not None:
+            self.merge(perm)
+            return perm
+        cp, cq = cls[p], cls[q]
+        for x in mask_bits(cp):
+            apart[x] |= cq
+        for x in mask_bits(cq):
+            apart[x] |= cp
+        return None
 
 
 def enumerate_symmetries(ppl: PPL, budget: int | None = DEFAULT_BUDGET) -> Iterator[Symmetry]:
@@ -222,16 +286,26 @@ def count_symmetries(ppl: PPL, budget: int | None = DEFAULT_BUDGET) -> int:
 
     Let G_i be the symmetries fixing atoms 0..i-1.  By orbit-stabilizer,
     |G_i| = |orbit of i under G_i| * |G_{i+1}|, so |G| is the product of
-    those orbit lengths.  Each orbit point q is one pinned existence probe
-    (0..i-1 fixed, i mapped to q); all probes share one node budget.
+    those orbit lengths.  The levels run from the last atom back to the
+    first, so every symmetry found so far fixes 0..i-1 and seeds the orbit
+    record of G_i.  Level i probes i -> q (0..i-1 fixed) only for the q
+    outside i's class that are not known apart from it; the final class of
+    i is its orbit.  All probes share one node budget.
     """
     b = _Budget(budget)
     sigs = _atom_signatures(ppl)
+    n = ppl.n
     order = 1
-    fixed: dict[int, int] = {}
-    for i in range(ppl.n):
-        order *= sum(_exists(ppl, {**fixed, i: q}, b, sigs) for q in range(i, ppl.n))
-        fixed[i] = i
+    found: list[tuple[int, ...]] = []
+    for i in reversed(range(n)):
+        orbits = _Orbits(n, found)
+        fixed = {a: a for a in range(i)}
+        for q in range(i + 1, n):
+            if not orbits.cls[i] >> q & 1:
+                perm = orbits.probe(ppl, {**fixed, i: q}, i, q, b, sigs)
+                if perm is not None:
+                    found.append(perm)
+        order *= orbits.cls[i].bit_count()
     return order
 
 
@@ -245,7 +319,7 @@ def find_plane_symmetry(ppl: PPL, p: int, q: int,
     n = ppl.n
     if not (0 <= p < n and 0 <= q < n):
         raise ValueError("atoms out of range")
-    return _plane_search(ppl, p, q, _Budget(budget), _atom_signatures(ppl), _planes(ppl))
+    return _plane_search(ppl, p, q, _Budget(budget), _atom_signatures(ppl), _planes(ppl), {})
 
 
 def _planes(ppl: PPL) -> list[tuple[int, int, int]]:
@@ -256,15 +330,28 @@ def _planes(ppl: PPL) -> list[tuple[int, int, int]]:
 
 
 def _plane_search(ppl: PPL, p: int, q: int, b: _Budget, sigs: tuple,
-                  planes: list[tuple[int, int, int]]) -> PlaneWitness | None:
+                  planes: list[tuple[int, int, int]],
+                  orbits: dict[int, _Orbits]) -> PlaneWitness | None:
+    """First plane witness for (p, q), probing the planes in scan order.
+
+    ``orbits`` maps a plane's mask to the orbit record of its pointwise
+    stabilizer; callers share it across queries, and a plane whose record
+    holds p and q apart is skipped without a search.
+    """
     for p1, p2, plane in planes:
+        if p != q and (plane >> p | plane >> q) & 1:
+            continue  # a fixed atom cannot move, nor be the image of another
+        rec = orbits.get(plane)
+        if rec is None:
+            rec = orbits[plane] = _Orbits(ppl.n)
         pins = {a: a for a in mask_bits(plane)}
-        if p in pins and q != p:
-            continue
-        if q in pins and p != q:
-            continue  # image q is already taken by the fixed atom q
         pins[p] = q
-        for perm in _backtrack(ppl, pins, b, sigs):
+        try:
+            perm = rec.probe(ppl, pins, p, q, b, sigs)
+        except BudgetExceededError as exc:
+            exc.plane = (p1, p2)
+            raise
+        if perm is not None:
             return PlaneWitness(p=p, q=q, p1=p1, p2=p2, f=Symmetry(perm))
     return None
 
@@ -290,9 +377,12 @@ def verify_plane_witness(ppl: PPL, w: PlaneWitness) -> str | None:
 def is_plane_transitive(ppl: PPL, budget: int | None = DEFAULT_BUDGET) -> PlaneTransitivityReport:
     """Search a plane witness for every ordered atom pair (fresh budget each).
 
-    The atom signatures and the plane masks are computed once for all
-    pairs.  Fewer than two atoms cannot host a plane, so such ppl's are
-    reported as not plane transitive with a note.
+    The atom signatures, the plane masks and one orbit record per plane
+    are shared by all pairs: the witness for (p, q) found in a plane
+    fixes that plane pointwise, so its cycles lie in orbits of the
+    plane's stabilizer, and a failed probe there rules out every pair
+    from the two classes.  Fewer than two atoms cannot host a plane, so
+    such ppl's are reported as not plane transitive with a note.
     """
     n = ppl.n
     if n < 2:
@@ -301,10 +391,11 @@ def is_plane_transitive(ppl: PPL, budget: int | None = DEFAULT_BUDGET) -> PlaneT
             note="fewer than two atoms: no plane exists")
     sigs = _atom_signatures(ppl)
     planes = _planes(ppl)
+    orbits: dict[int, _Orbits] = {}
     witnesses = []
     for p in range(n):
         for q in range(n):
-            w = _plane_search(ppl, p, q, _Budget(budget), sigs, planes)
+            w = _plane_search(ppl, p, q, _Budget(budget), sigs, planes, orbits)
             if w is None:
                 return PlaneTransitivityReport(False, failing_pair=(p, q))
             witnesses.append(w)
@@ -342,8 +433,16 @@ def is_group_transitive(ppl: PPL, budget: int | None = DEFAULT_BUDGET) -> bool:
     """Can every atom be carried to every other by some symmetry?
 
     The symmetries form a group, so this holds exactly when the orbit of
-    atom 0 is every atom: each q != 0 gets its own budgeted search for any
-    symmetry with perm[0] = q (no plane constraint).
+    atom 0 is every atom.  Each q not yet in 0's class gets its own
+    budgeted search for any symmetry with perm[0] = q (no plane
+    constraint), and each symmetry found joins the classes along its
+    cycles.
     """
     sigs = _atom_signatures(ppl)
-    return all(_exists(ppl, {0: q}, _Budget(budget), sigs) for q in range(1, ppl.n))
+    orbits = _Orbits(ppl.n)
+    for q in range(1, ppl.n):
+        if orbits.cls[0] >> q & 1:
+            continue
+        if orbits.probe(ppl, {0: q}, 0, q, _Budget(budget), sigs) is None:
+            return False
+    return True

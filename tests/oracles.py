@@ -314,11 +314,14 @@ def plane_atoms(family: set[frozenset[int]], p1: int, p2: int) -> frozenset[int]
     return family_join(family, frozenset([p1]), frozenset([p2]))
 
 
-def exists_plane_symmetry(orth: dict[int, set[int]],
-                          family: set[frozenset[int]],
-                          p: int, q: int) -> Optional[tuple[int, ...]]:
-    """A symmetry sending p to q while fixing some plane pointwise, by
-    scanning every atom pair and every permutation."""
+def first_plane_witness(orth: dict[int, set[int]],
+                        family: set[frozenset[int]],
+                        p: int, q: int) -> Optional[tuple[int, int, tuple[int, ...]]]:
+    """(p1, p2, perm) of the first plane witness sending p to q: the first
+    atom pair p1 < p2 in lexicographic order whose plane some symmetry
+    fixes atom by atom while sending p to q, and the lexicographically
+    least such symmetry, by scanning every atom pair and every
+    permutation."""
     n = len(orth)
     for p1 in range(n):
         for p2 in range(p1 + 1, n):
@@ -329,8 +332,17 @@ def exists_plane_symmetry(orth: dict[int, set[int]],
                 if any(perm[r] != r for r in fixed):
                     continue
                 if is_symmetry_perm(orth, family, perm):
-                    return perm
+                    return p1, p2, perm
     return None
+
+
+def exists_plane_symmetry(orth: dict[int, set[int]],
+                          family: set[frozenset[int]],
+                          p: int, q: int) -> Optional[tuple[int, ...]]:
+    """A symmetry sending p to q while fixing some plane pointwise: the
+    permutation of :func:`first_plane_witness`."""
+    w = first_plane_witness(orth, family, p, q)
+    return None if w is None else w[2]
 
 
 def is_plane_transitive_brute(orth: dict[int, set[int]],

@@ -192,7 +192,9 @@ def test_plane_positive_with_witnesses(run):
 def test_plane_budget_exhaustion(run):
     code, _, err = run("plane", "gen:boolean:4", "--budget", "2")
     assert code == 3
-    assert err.startswith("error\t")
+    # the first pair, a -> a, spends its two nodes in the first plane, {a, b}
+    assert err == ("error\tsearch budget exhausted after 3 node expansions"
+                   " mapping atom 0 to atom 0 with the plane of atoms 0 and 1 fixed\n")
 
 
 # ---------------------------------------------------------------------------

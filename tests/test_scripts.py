@@ -75,6 +75,7 @@ def test_mine_counterexamples_prints_hits_as_report_lines(monkeypatch, capsys, f
     lines = capsys.readouterr().out.splitlines()
     summary = f"{target}\tcount\t2\thits\t2\tinvalid\t0"
     assert lines.count(summary) == 1
+    assert not any(line.startswith("summary\t") for line in lines)
     hits = [line for line in lines if line.startswith("hit\t")]
     assert {line.split("\t")[1] for line in hits} == {"0", "1"}
     assert all(line.split("\t")[2] in ("input1", "input2") for line in hits)

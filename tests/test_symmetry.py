@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -21,7 +22,9 @@ from orthlab.symmetry import (
     symmetry_failure,
     verify_plane_witness,
 )
-from orthlab.symmetry import _backtrack, _Budget
+from orthlab import symmetry as S
+from orthlab.bitset import mask_bits
+from orthlab.symmetry import _atom_signatures, _backtrack, _Budget, _Orbits
 
 import oracles as ora
 
@@ -188,8 +191,12 @@ def test_symmetry_failure_matches_oracle_off_property_lattices():
 
 
 def test_budget_exhaustion_raises(mo3_ppl):
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as info:
         count_symmetries(mo3_ppl, budget=5)
+    i, q = info.value.query  # the level-i probe i -> q that ran out
+    assert 0 <= i < q < mo3_ppl.n
+    assert info.value.plane is None
+    assert str(info.value).endswith(f" mapping atom {i} to atom {q}")
     assert count_symmetries(mo3_ppl, budget=None) == 48
 
 
@@ -214,16 +221,28 @@ def test_no_plane_witness_in_small_spaces(b3_ppl, mo2_ppl):
     assert find_plane_symmetry(mo2_ppl, 0, 1) is None
 
 
-def test_plane_witness_exists_exactly_when_brute_force_finds_one():
-    # a pruned subtree must never hide a witness, so a None has to be real
-    for ppl in _small_products() + _random_families():
+def test_plane_witness_exists_exactly_when_brute_force_finds_one(b4_ppl):
+    # a pruned subtree must never hide a witness, so a None has to be real;
+    # and a witness must be the first plane's lexicographically least one,
+    # whether searched alone or with orbit records shared across the pairs
+    for ppl in [b4_ppl] + _small_products() + _random_families():
+        assert ppl.n <= 6
         orth, fam = _orth_and_family(ppl)
+        alone = []
         for p in range(ppl.n):
             for q in range(ppl.n):
                 w = find_plane_symmetry(ppl, p, q)
-                assert (w is None) == (ora.exists_plane_symmetry(orth, fam, p, q) is None)
+                first = ora.first_plane_witness(orth, fam, p, q)
+                assert (w is None) == (first is None)
                 if w is not None:
+                    assert (w.p1, w.p2, w.f.perm) == first
                     assert verify_plane_witness(ppl, w) is None
+                alone.append(((p, q), w))
+        report = is_plane_transitive(ppl)
+        if report.transitive:
+            assert report.witnesses == tuple(w for _, w in alone)
+        else:
+            assert report.failing_pair == next(pq for pq, w in alone if w is None)
 
 
 def test_minimal_square_of_boolean4_is_plane_transitive(b4_ppl):
@@ -282,8 +301,10 @@ def test_single_atom_space_hosts_no_plane(b1_ppl):
 
 
 def test_plane_search_budget(b4_ppl):
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as info:
         is_plane_transitive(b4_ppl, budget=2)
+    assert info.value.query == (0, 0)
+    assert info.value.plane == (0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -347,3 +368,138 @@ def test_group_transitivity_matches_oracle_on_products_and_random_families():
         group = ora.all_symmetries(orth, fam)
         orbit_of_0 = {f[0] for f in group}
         assert is_group_transitive(ppl) == (len(orbit_of_0) == ppl.n)
+
+
+# ---------------------------------------------------------------------------
+# orbit records: a search skips only the probes whose answers are known
+
+def _probe_key(pins):
+    return tuple(sorted(pins.items()))
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """The pins of every ``_backtrack`` call the searches make, in order."""
+    calls = []
+
+    def recording(ppl, pins, budget, sigs=None):
+        calls.append(_probe_key(pins))
+        return _backtrack(ppl, pins, budget, sigs)
+
+    monkeypatch.setattr(S, "_backtrack", recording)
+    return calls
+
+
+def _per_pair_plane_probes(ppl):
+    """One search per ordered pair, scanning every plane: its probes, its
+    witnesses as (p, q, p1, p2, perm), and the first pair without one."""
+    n = ppl.n
+    planes = [(p1, p2, ppl.join_mask(1 << p1 | 1 << p2))
+              for p1 in range(n) for p2 in range(p1 + 1, n)]
+    sigs = _atom_signatures(ppl)
+    calls, witnesses = [], []
+    for p in range(n):
+        for q in range(n):
+            for p1, p2, plane in planes:
+                pins = {a: a for a in mask_bits(plane)}
+                if p != q and (p in pins or q in pins):
+                    continue
+                pins[p] = q
+                calls.append(_probe_key(pins))
+                perm = next(_backtrack(ppl, pins, _Budget(None), sigs), None)
+                if perm is not None:
+                    witnesses.append((p, q, p1, p2, perm))
+                    break
+            else:
+                return calls, witnesses, (p, q)
+    return calls, witnesses, None
+
+
+def _per_target_count_probes(ppl):
+    """One probe per level i and target q >= i: the probes and the order."""
+    calls, order = [], 1
+    for i in range(ppl.n):
+        length = 0
+        for q in range(i, ppl.n):
+            pins = {**{a: a for a in range(i)}, i: q}
+            calls.append(_probe_key(pins))
+            length += next(_backtrack(ppl, pins, _Budget(None)), None) is not None
+        order *= length
+    return calls, order
+
+
+def _orbit_families(b4_ppl, mo3_ppl, random_batch):
+    """Catalog, random and seeded families, and three plane transitive
+    products of 12 atoms, where the records skip most plane probes."""
+    b2, b3 = O.boolean_space(2), O.boolean_space(3)
+    mo2 = O.mo_lantern(2)
+    out = [b4_ppl, mo3_ppl, O.property_lattice(O.boolean_space(5)),
+           O.minimal_product(b4_ppl, O.property_lattice(b2)),
+           O.minimal_product(b4_ppl, O.property_lattice(b3)),
+           O.property_lattice(O.separated_product(b3, mo2)),
+           O.property_lattice(O.separated_product(mo2, b3))]
+    out += [O.property_lattice(ss) for ss in random_batch if ss.n >= 4]
+    return out + _small_products() + _random_families()
+
+
+def test_orbit_records_skip_only_implied_probes(probes, b4_ppl, mo3_ppl, random_batch):
+    skipped = 0
+    for ppl in _orbit_families(b4_ppl, mo3_ppl, random_batch):
+        calls, witnesses, failing = _per_pair_plane_probes(ppl)
+        probes.clear()
+        report = is_plane_transitive(ppl, budget=None)
+        assert not Counter(probes) - Counter(calls)
+        skipped += len(calls) - len(probes)
+        assert report.failing_pair == failing
+        if report.transitive:
+            assert [(w.p, w.q, w.p1, w.p2, w.f.perm) for w in report.witnesses] == witnesses
+
+        calls, order = _per_target_count_probes(ppl)
+        probes.clear()
+        assert count_symmetries(ppl, budget=None) == order
+        assert not Counter(probes) - Counter(calls)
+        skipped += len(calls) - len(probes)
+
+        calls, transitive = [], True
+        for q in range(1, ppl.n):
+            calls.append(((0, q),))
+            if next(_backtrack(ppl, {0: q}, _Budget(None)), None) is None:
+                transitive = False
+                break
+        probes.clear()
+        assert is_group_transitive(ppl, budget=None) == transitive
+        assert not Counter(probes) - Counter(calls)
+    assert skipped > 0
+
+
+def test_orbit_record_keeps_classes_apart_through_merges(probes):
+    # an orthogonal pair {a, e} next to an orthogonal triangle {b, c, d}:
+    # the orbits are {a, e} and {b, c, d}
+    ss = O.StateSpace(("a", "b", "c", "d", "e"),
+                      O.OrthoRelation.from_pairs(5, [(0, 4), (1, 2), (1, 3), (2, 3)]))
+    ppl = O.property_lattice(ss)
+    sigs = _atom_signatures(ppl)
+    rec = _Orbits(ppl.n)
+    assert rec.probe(ppl, {0: 1}, 0, 1, _Budget(None), sigs) is None
+    assert probes == [((0, 1),)]
+    rec.merge((4, 2, 1, 3, 0))  # swaps a with e and b with c
+    assert rec.cls[0] == rec.cls[4] == 0b10001
+    assert rec.cls[1] == rec.cls[2] == 0b00110
+    for p, q in [(0, 2), (4, 1), (4, 2), (2, 4), (1, 0)]:
+        probes.clear()
+        assert rec.probe(ppl, {p: q}, p, q, _Budget(None), sigs) is None
+        assert probes == []  # known apart: no search
+    assert rec.probe(ppl, {1: 3}, 1, 3, _Budget(None), sigs) == (0, 3, 1, 2, 4)
+    assert rec.cls[3] == 0b01110
+    assert rec.apart[3] & rec.cls[4] and rec.apart[4] & rec.cls[3]
+    with pytest.raises(InvariantViolationError):
+        rec.merge((1, 0, 2, 3, 4))  # joins classes a probe found apart
+
+
+def test_orbit_records_answer_where_per_pair_probes_ran_out(mo3):
+    # both used up a 1M-node budget when every pair got its own probe
+    mo3_ppl = O.property_lattice(mo3)
+    assert count_symmetries(O.minimal_product(mo3_ppl, mo3_ppl), budget=1_000_000) \
+        == 2 * 48 ** 2
+    assert is_group_transitive(O.property_lattice(O.separated_product(mo3, mo3)),
+                               budget=1_000_000)
