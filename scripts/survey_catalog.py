@@ -3,8 +3,10 @@
 
 For each Boolean space and lantern in range: property-lattice size, the
 axiom profile, symmetry-group order, and plane transitivity.  With
-``--products``, the same core profile for the minimal and separated
-products of every catalog pair that fits the atom budget.
+``--products``, the same profile for the minimal and separated products
+of every catalog pair that fits the atom budget.  A symmetry count or
+plane verdict whose search runs out of its node budget prints
+``unknown``.
 """
 
 import argparse
@@ -12,6 +14,7 @@ import sys
 
 import orthlab as O
 from orthlab.axioms import axiom_suite
+from orthlab.errors import BudgetExceededError
 from orthlab.products import minimal_product, separated_product
 from orthlab.statespace import property_lattice
 from orthlab.symmetry import count_symmetries, is_plane_transitive
@@ -29,12 +32,20 @@ def axiom_profile(ppl) -> dict:
             for key, rep in zip(PROFILE_KEYS, axiom_suite(ppl))}
 
 
-def survey_line(name: str, ppl, *, symmetries: bool) -> str:
+def unless_budget(search) -> str:
+    """The search's answer as text, or ``unknown`` if it runs out of budget."""
+    try:
+        return str(search())
+    except BudgetExceededError:
+        return "unknown"
+
+
+def survey_line(name: str, ppl) -> str:
     cols = [name, f"atoms={ppl.n}", f"elements={len(ppl.cs)}"]
     cols += [f"{key}={flag}" for key, flag in axiom_profile(ppl).items()]
-    if symmetries:
-        cols.append(f"symmetries={count_symmetries(ppl)}")
-        cols.append(f"plane-transitive={yn(is_plane_transitive(ppl).transitive)}")
+    cols.append(f"symmetries={unless_budget(lambda: count_symmetries(ppl))}")
+    cols.append("plane-transitive="
+                + unless_budget(lambda: yn(is_plane_transitive(ppl).transitive)))
     return "\t".join(cols)
 
 
@@ -57,7 +68,7 @@ def main() -> int:
     ppls = [(name, property_lattice(ss)) for name, ss in members]
 
     for name, ppl in ppls:
-        print(survey_line(name, ppl, symmetries=True))
+        print(survey_line(name, ppl))
 
     if args.products:
         print()
@@ -66,11 +77,9 @@ def main() -> int:
                 if ss1.n * ss2.n > args.product_atoms:
                     continue
                 p1, p2 = property_lattice(ss1), property_lattice(ss2)
-                print(survey_line(f"minimal({name1},{name2})",
-                                  minimal_product(p1, p2), symmetries=False))
+                print(survey_line(f"minimal({name1},{name2})", minimal_product(p1, p2)))
                 print(survey_line(f"separated({name1},{name2})",
-                                  property_lattice(separated_product(ss1, ss2)),
-                                  symmetries=False))
+                                  property_lattice(separated_product(ss1, ss2))))
     return 0
 
 

@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 from . import catalog
 from .axioms import SUITE_AXIOMS, Certificate, axiom_suite
@@ -148,9 +150,20 @@ def cmd_product(args) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def _atoms_named(labels: tuple[str, ...]) -> Iterator[None]:
+    """Let a budget error raised inside name its atoms by ``labels``."""
+    try:
+        yield
+    except BudgetExceededError as exc:
+        exc.labels = labels
+        raise
+
+
 def cmd_plane(args) -> int:
     ppl = as_ppl(load_source(args.src))
-    report = is_plane_transitive(ppl, budget=args.budget)
+    with _atoms_named(ppl.labels):
+        report = is_plane_transitive(ppl, budget=args.budget)
     print(f"plane-transitive\t{'true' if report.transitive else 'false'}")
     if report.note:
         print(f"note\t{report.note}")
@@ -168,7 +181,8 @@ def cmd_plane(args) -> int:
 def cmd_symmetries(args) -> int:
     ppl = as_ppl(load_source(args.src))
     if args.count_only:
-        print(f"count\t{count_symmetries(ppl, budget=args.budget)}")
+        with _atoms_named(ppl.labels):
+            print(f"count\t{count_symmetries(ppl, budget=args.budget)}")
         return EXIT_OK
     count = 0
     for sym in enumerate_symmetries(ppl, budget=args.budget):

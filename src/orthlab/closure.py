@@ -154,6 +154,29 @@ class ClosureSystem:
         cols = self._cols
         return [own if (a >> r) & 1 else m - (sup & cols[r]).bit_length() for r in range(self.n)]
 
+    @cached_property
+    def meet_irreducibles(self) -> tuple[int, ...]:
+        """The closed sets other than the top that are not meets of larger ones.
+
+        Every closed set strictly above a closed M contains some one-point
+        extension cl(M ∪ {r}), r ∉ M, so M is meet-irreducible exactly
+        when those extensions do not intersect back to M.  O(m·n) through
+        :meth:`one_point_extensions`.  They generate the family under
+        intersection: each closed set is the meet of the meet-irreducibles
+        above it, the top being the empty meet (Davey & Priestley,
+        *Introduction to Lattices and Order*, 2002).
+        """
+        masks = self.masks
+        out = []
+        for a in masks[:-1]:
+            meet = masks[-1]
+            for r, k in enumerate(self.one_point_extensions(a)):
+                if not (a >> r) & 1:
+                    meet &= masks[k]
+            if meet != a:
+                out.append(a)
+        return tuple(out)
+
     def upper_covers(self, a: int, ext: list[int] | None = None) -> set[int]:
         """Indices of the elements covering a closed ``a``, as an unsorted set.
 

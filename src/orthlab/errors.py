@@ -18,21 +18,24 @@ class BudgetExceededError(OrthlabError):
     ``query`` is the (p, q) probe that ran out, searching a symmetry that
     maps atom p to atom q, and ``plane`` the (p1, p2) whose plane that
     probe held fixed; the searches that know them fill them in on the way
-    out, and the message names them.
+    out, and the message names them.  ``labels``, when a caller sets it,
+    names the atoms in the message by label instead of by index.
     """
 
     def __init__(self, nodes: int, message: str = ""):
         self.nodes = nodes
         self.query: tuple[int, int] | None = None
         self.plane: tuple[int, int] | None = None
+        self.labels: tuple[str, ...] | None = None
         super().__init__(message or f"search budget exhausted after {nodes} node expansions")
 
     def __str__(self) -> str:
         text = super().__str__()
+        name = (lambda atom: self.labels[atom]) if self.labels else str
         if self.query is not None:
-            text += " mapping atom {} to atom {}".format(*self.query)
+            text += " mapping atom {} to atom {}".format(*map(name, self.query))
         if self.plane is not None:
-            text += " with the plane of atoms {} and {} fixed".format(*self.plane)
+            text += " with the plane of atoms {} and {} fixed".format(*map(name, self.plane))
         return text
 
 

@@ -4,12 +4,17 @@ A symmetry is an atom permutation that maps closed sets to closed sets
 in both directions and preserves orthogonality in both directions.  The
 backtracking search assigns pinned atoms first, then the free atoms in
 ascending order, trying images in ascending order, so symmetries come out
-in lexicographic order of the image tuple.  Candidates are pruned on
-per-atom invariants (orthogonality degree and closed-set membership
-profile) and on orthogonality with the atoms already assigned.  Each
-closed set is checked once, as soon as all of its atoms have images; on a
+in lexicographic order of the image tuple.  Candidates are pruned on the
+pair-join colouring (:class:`_Colours`): a symmetry maps cl(X) onto
+cl(f(X)), so it keeps each pair's colour (a ⊥ b, |join{a, b}|), and a
+candidate image must give every pair with the atoms already assigned its
+colour; orthogonality is one part of that colour.  Only the
+meet-irreducible closed sets are checked, each once, as soon as all of
+its atoms have images: they generate the family under intersection, so a
+bijection that keeps them closed keeps every closed set closed.  On a
 property lattice no closed-set check is needed at all (see
-:func:`_backtrack`).
+:func:`_backtrack`).  Pruning only ever cuts subtrees that hold no
+symmetry, so the order and the results are those of the unpruned search.
 
 Group orders, group transitivity and plane witnesses are decided by
 pinned existence probes: is there a symmetry in a group G (all
@@ -30,7 +35,7 @@ never a negative one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .bitset import mask_bits, permute_mask
 from .errors import BudgetExceededError, InvariantViolationError
@@ -123,35 +128,69 @@ def is_symmetry(ppl: PPL, perm: Sequence[int]) -> bool:
     return symmetry_failure(ppl, perm) is None
 
 
-def _atom_signatures(ppl: PPL) -> tuple:
-    """Per-atom invariants preserved by any symmetry.
+class _Colours(NamedTuple):
+    """The pair-join colouring of the atoms, which every symmetry keeps.
 
-    Degree in the orthogonality relation, plus a histogram of the
-    cardinalities of closed sets containing the atom.  A symmetry permutes
-    the closed family preserving cardinality, so both are invariant.
+    The colour of a pair of distinct atoms (a, b) is (a ⊥ b, |join{a, b}|).
+    ``sigs[a]`` is a's own colour (a ⊥ a, |cl{a}|) with the histogram of
+    the colours of a's pairs.  ``rows[a][c]`` is the mask of the atoms b
+    with (a, b) of the c-th colour, for every colour but the one with the
+    most pairs: the colours of a's pairs partition the other atoms, so a
+    bijection that keeps every colour class but one keeps that one too.
+    """
+
+    sigs: tuple
+    rows: tuple[tuple[int, ...], ...]
+
+
+def _atom_signatures(ppl: PPL, planes: list[tuple[int, int, int]] | None = None) -> _Colours:
+    """The pair-join colouring: per-atom signatures and the colour rows.
+
+    A symmetry f maps closed sets onto closed sets, so it maps cl(X) onto
+    cl(f(X)): |join{a, b}| = |join{f(a), f(b)}|, and f keeps orthogonality.
+    Both halves of a pair's colour, and so each atom's histogram, are
+    invariant, on biorthogonal families and others alike.  The joins come
+    from ``planes`` (:func:`_planes`, computed here when not given), so
+    this takes O(n²) joins and never reads the closed family.
     """
     n = ppl.n
-    prof: list[dict[int, int]] = [dict() for _ in range(n)]
-    for m in ppl.cs.masks:
-        c = m.bit_count()
-        for p in mask_bits(m):
-            prof[p][c] = prof[p].get(c, 0) + 1
-    return tuple(
-        (ppl.orth.rows[p].bit_count(), tuple(sorted(prof[p].items())))
-        for p in range(n)
-    )
+    if planes is None:
+        planes = _planes(ppl)
+    orth = ppl.orth.rows
+    by_colour: dict[tuple[int, int], list[int]] = {}
+    for p1, p2, plane in planes:
+        row = by_colour.setdefault((orth[p1] >> p2 & 1, plane.bit_count()), [0] * n)
+        row[p1] |= 1 << p2
+        row[p2] |= 1 << p1
+    order = sorted(by_colour, key=lambda c: (sum(map(int.bit_count, by_colour[c])), c))
+    classes = [by_colour[c] for c in order]
+    sigs = tuple(
+        ((orth[a] >> a & 1, ppl.join_mask(1 << a).bit_count()),
+         tuple(cls[a].bit_count() for cls in classes))
+        for a in range(n))
+    return _Colours(sigs, tuple(tuple(cls[a] for cls in classes[:-1]) for a in range(n)))
 
 
 def _backtrack(ppl: PPL, pins: dict[int, int], budget: _Budget,
-               sigs: tuple | None = None) -> Iterator[tuple[int, ...]]:
+               colours: _Colours | None = None) -> Iterator[tuple[int, ...]]:
     """All symmetries consistent with ``pins``, in lexicographic order.
 
-    The pins are assigned before the search and checked once against each
-    other: on orthogonality, and on the closed sets that lie wholly inside
-    the pinned atoms.  The free atoms are then assigned in ascending order;
-    each candidate image costs one budget node, and each closed set is
-    checked at the free atom that completes it.  A pruned subtree therefore
-    holds no symmetry, and a completed assignment needs no final check.
+    An atom may only map to an atom of the same signature, and every pair
+    of assigned atoms must keep its colour (see :class:`_Colours`); the
+    orthogonality row is one part of that colouring.  The pins are
+    assigned before the search and checked once against each other: on
+    every colour row, and on the meet-irreducible closed sets that lie
+    wholly inside the pinned atoms.  The free atoms are then assigned in
+    ascending order; each candidate image costs one budget node, and each
+    meet-irreducible is checked at the free atom that completes it.  A
+    pruned subtree therefore holds no symmetry, and a completed assignment
+    needs no final check.
+
+    Only the meet-irreducibles (``cs.meet_irreducibles``) are checked.
+    Every closed set is an intersection of them (the top is the empty
+    intersection), and a bijection f has f(A ∩ B) = f(A) ∩ f(B); so if f
+    maps each meet-irreducible into the intersection-closed family, it
+    maps the whole family into it, and, being injective, onto it.
 
     On a property lattice (``ppl.biorthogonal``) no closed set is checked:
     the family is exactly the sets A⊥⊥, and a bijection f that preserves
@@ -159,10 +198,10 @@ def _backtrack(ppl: PPL, pins: dict[int, int], budget: _Budget,
     it maps the family into itself and, being injective, onto itself.
     """
     n = ppl.n
-    rows = ppl.orth.rows
     cs = ppl.cs
-    if sigs is None:
-        sigs = _atom_signatures(ppl)
+    if colours is None:
+        colours = _atom_signatures(ppl)
+    sigs, rows = colours
     if len(set(pins.values())) != len(pins):
         return
     perm = [-1] * n
@@ -173,12 +212,13 @@ def _backtrack(ppl: PPL, pins: dict[int, int], budget: _Budget,
         perm[p] = q
         dom |= 1 << p
         used |= 1 << q
-    for p in pins:
-        if rows[perm[p]] & used != permute_mask(perm, rows[p] & dom):
-            return
+    for p, q in pins.items():
+        for mine, theirs in zip(rows[p], rows[q]):
+            if theirs & used != permute_mask(perm, mine & dom):
+                return
     completes: list[list[int]] = [[] for _ in range(n)]
     if not ppl.biorthogonal:
-        for m in cs.masks:
+        for m in cs.meet_irreducibles:
             rest = m & ~dom
             if rest:
                 completes[rest.bit_length() - 1].append(m)
@@ -194,11 +234,11 @@ def _backtrack(ppl: PPL, pins: dict[int, int], budget: _Budget,
             yield tuple(perm)
             return
         pos = free[k]
-        req = permute_mask(perm, rows[pos] & assigned)
+        req = tuple(permute_mask(perm, row & assigned) for row in rows[pos])
         rest = None  # images of the sets pos completes, minus pos itself
         for q in by_sig[sigs[pos]]:
             budget.spend()
-            if (used >> q) & 1 or rows[q] & used != req:
+            if (used >> q) & 1 or tuple(row & used for row in rows[q]) != req:
                 continue
             if rest is None:
                 rest = [permute_mask(perm, m ^ 1 << pos) for m in completes[pos]]
@@ -245,7 +285,7 @@ class _Orbits:
                     apart[x] = known
 
     def probe(self, ppl: PPL, pins: dict[int, int], p: int, q: int,
-              budget: _Budget, sigs: tuple) -> tuple[int, ...] | None:
+              budget: _Budget, colours: _Colours) -> tuple[int, ...] | None:
         """First symmetry with ``pins``, the pins of G plus p -> q; None if none.
 
         Skipped when p and q are known apart; otherwise the ``_backtrack``
@@ -255,7 +295,7 @@ class _Orbits:
         if apart[p] & cls[q]:
             return None
         try:
-            perm = next(_backtrack(ppl, pins, budget, sigs), None)
+            perm = next(_backtrack(ppl, pins, budget, colours), None)
         except BudgetExceededError as exc:
             exc.query = (p, q)
             raise
@@ -293,7 +333,7 @@ def count_symmetries(ppl: PPL, budget: int | None = DEFAULT_BUDGET) -> int:
     i is its orbit.  All probes share one node budget.
     """
     b = _Budget(budget)
-    sigs = _atom_signatures(ppl)
+    colours = _atom_signatures(ppl)
     n = ppl.n
     order = 1
     found: list[tuple[int, ...]] = []
@@ -302,7 +342,7 @@ def count_symmetries(ppl: PPL, budget: int | None = DEFAULT_BUDGET) -> int:
         fixed = {a: a for a in range(i)}
         for q in range(i + 1, n):
             if not orbits.cls[i] >> q & 1:
-                perm = orbits.probe(ppl, {**fixed, i: q}, i, q, b, sigs)
+                perm = orbits.probe(ppl, {**fixed, i: q}, i, q, b, colours)
                 if perm is not None:
                     found.append(perm)
         order *= orbits.cls[i].bit_count()
@@ -319,7 +359,8 @@ def find_plane_symmetry(ppl: PPL, p: int, q: int,
     n = ppl.n
     if not (0 <= p < n and 0 <= q < n):
         raise ValueError("atoms out of range")
-    return _plane_search(ppl, p, q, _Budget(budget), _atom_signatures(ppl), _planes(ppl), {})
+    planes = _planes(ppl)
+    return _plane_search(ppl, p, q, _Budget(budget), _atom_signatures(ppl, planes), planes, {})
 
 
 def _planes(ppl: PPL) -> list[tuple[int, int, int]]:
@@ -329,7 +370,7 @@ def _planes(ppl: PPL) -> list[tuple[int, int, int]]:
             for p1 in range(n) for p2 in range(p1 + 1, n)]
 
 
-def _plane_search(ppl: PPL, p: int, q: int, b: _Budget, sigs: tuple,
+def _plane_search(ppl: PPL, p: int, q: int, b: _Budget, colours: _Colours,
                   planes: list[tuple[int, int, int]],
                   orbits: dict[int, _Orbits]) -> PlaneWitness | None:
     """First plane witness for (p, q), probing the planes in scan order.
@@ -347,7 +388,7 @@ def _plane_search(ppl: PPL, p: int, q: int, b: _Budget, sigs: tuple,
         pins = {a: a for a in mask_bits(plane)}
         pins[p] = q
         try:
-            perm = rec.probe(ppl, pins, p, q, b, sigs)
+            perm = rec.probe(ppl, pins, p, q, b, colours)
         except BudgetExceededError as exc:
             exc.plane = (p1, p2)
             raise
@@ -377,7 +418,7 @@ def verify_plane_witness(ppl: PPL, w: PlaneWitness) -> str | None:
 def is_plane_transitive(ppl: PPL, budget: int | None = DEFAULT_BUDGET) -> PlaneTransitivityReport:
     """Search a plane witness for every ordered atom pair (fresh budget each).
 
-    The atom signatures, the plane masks and one orbit record per plane
+    The pair-join colouring, the plane masks and one orbit record per plane
     are shared by all pairs: the witness for (p, q) found in a plane
     fixes that plane pointwise, so its cycles lie in orbits of the
     plane's stabilizer, and a failed probe there rules out every pair
@@ -389,13 +430,13 @@ def is_plane_transitive(ppl: PPL, budget: int | None = DEFAULT_BUDGET) -> PlaneT
         return PlaneTransitivityReport(
             False, failing_pair=(0, 0) if n else None,
             note="fewer than two atoms: no plane exists")
-    sigs = _atom_signatures(ppl)
     planes = _planes(ppl)
+    colours = _atom_signatures(ppl, planes)
     orbits: dict[int, _Orbits] = {}
     witnesses = []
     for p in range(n):
         for q in range(n):
-            w = _plane_search(ppl, p, q, _Budget(budget), sigs, planes, orbits)
+            w = _plane_search(ppl, p, q, _Budget(budget), colours, planes, orbits)
             if w is None:
                 return PlaneTransitivityReport(False, failing_pair=(p, q))
             witnesses.append(w)
@@ -438,11 +479,11 @@ def is_group_transitive(ppl: PPL, budget: int | None = DEFAULT_BUDGET) -> bool:
     constraint), and each symmetry found joins the classes along its
     cycles.
     """
-    sigs = _atom_signatures(ppl)
+    colours = _atom_signatures(ppl)
     orbits = _Orbits(ppl.n)
     for q in range(1, ppl.n):
         if orbits.cls[0] >> q & 1:
             continue
-        if orbits.probe(ppl, {0: q}, 0, q, _Budget(budget), sigs) is None:
+        if orbits.probe(ppl, {0: q}, 0, q, _Budget(budget), colours) is None:
             return False
     return True

@@ -152,6 +152,14 @@ def family_join(family: set[frozenset[int]], a: frozenset[int],
     return family_closure(family, a | b)
 
 
+def meet_irreducibles(family: set[frozenset[int]]) -> set[frozenset[int]]:
+    """Members other than the top that are not the intersection of the
+    members strictly above them."""
+    top = frozenset().union(*family)
+    return {a for a in family
+            if a != top and frozenset.intersection(*(b for b in family if a < b)) != a}
+
+
 def family_bottom(family: set[frozenset[int]]) -> frozenset[int]:
     out = None
     for m in family:

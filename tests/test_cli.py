@@ -192,9 +192,10 @@ def test_plane_positive_with_witnesses(run):
 def test_plane_budget_exhaustion(run):
     code, _, err = run("plane", "gen:boolean:4", "--budget", "2")
     assert code == 3
-    # the first pair, a -> a, spends its two nodes in the first plane, {a, b}
+    # the first pair, a -> a, spends its two nodes in the first plane, {a, b};
+    # the atoms are named by label, as on stdout
     assert err == ("error\tsearch budget exhausted after 3 node expansions"
-                   " mapping atom 0 to atom 0 with the plane of atoms 0 and 1 fixed\n")
+                   " mapping atom a to atom a with the plane of atoms a and b fixed\n")
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +217,9 @@ def test_symmetry_listing_starts_with_identity(run):
 
 def test_symmetry_budget_flag(run):
     assert run("symmetries", "gen:mo:3", "--budget", "5")[0] == 3
+    code, _, err = run("symmetries", "gen:mo:3", "--count-only", "--budget", "5")
+    assert code == 3
+    assert err.endswith(" mapping atom a3 to atom b3\n")  # labels, not indices
 
 
 def test_symmetry_budget_env_var(run, monkeypatch):

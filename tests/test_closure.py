@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthlab.bitset import GROUND_CAPACITY, AtomSet
+from orthlab.bitset import GROUND_CAPACITY, AtomSet, permute_mask
 from orthlab.closure import ClosureSystem, meet_closure
 from orthlab.errors import CapacityError
 
@@ -17,6 +17,7 @@ from oracles import (
     family_join,
     family_to_sets,
     mask_to_set,
+    meet_irreducibles,
     saturate_intersections,
 )
 
@@ -248,3 +249,43 @@ def test_permutation_failure_vectorized_path_matches_scalar():
     cs2 = ClosureSystem.from_masks(12, masks)
     assert cs2.permutation_failure(ident) is None
     assert cs2.permutation_failure(swap01) == 6
+
+
+@given(families, st.data())
+def test_meet_irreducibles_decide_permutation_images(case, data):
+    # the meet-irreducibles generate the family under intersection, so a
+    # permutation maps the family onto itself exactly when it maps each of
+    # them into the family
+    n, gens = case
+    cs = meet_closure([AtomSet(g, n) for g in gens], n)
+    fam = family_to_sets(cs.masks)
+    irreducible = meet_irreducibles(fam)
+    assert {mask_to_set(m) for m in cs.meet_irreducibles} == irreducible
+    assert list(cs.meet_irreducibles) == [m for m in cs.masks if mask_to_set(m) in irreducible]
+    for a in fam:
+        assert frozenset(range(n)).intersection(*(m for m in irreducible if a <= m)) == a
+    perm = tuple(data.draw(st.permutations(range(n))))
+    images_closed = all(permute_mask(perm, m) in cs for m in cs.meet_irreducibles)
+    assert (cs.permutation_failure(perm) is None) == images_closed
+
+
+def test_meet_irreducibles_decide_permutation_images_on_seeded_families():
+    # every generator comes with all its cyclic shifts, so the shift maps
+    # the family onto itself and both answers occur
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(200):
+        n = rng.randrange(2, 7)
+        cyc = tuple(range(1, n)) + (0,)
+        gens = []
+        for _ in range(rng.randrange(1, 3)):
+            g = rng.randrange(1 << n)
+            for _ in range(n):
+                gens.append(AtomSet(g, n))
+                g = permute_mask(cyc, g)
+        cs = meet_closure(gens, n)
+        for perm in [cyc] + [tuple(rng.sample(range(n), n)) for _ in range(4)]:
+            images_closed = all(permute_mask(perm, m) in cs for m in cs.meet_irreducibles)
+            assert (cs.permutation_failure(perm) is None) == images_closed
+            seen.add(images_closed)
+    assert seen == {True, False}

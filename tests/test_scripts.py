@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from orthlab.search import TARGETS
+from orthlab.symmetry import count_symmetries
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -22,6 +23,10 @@ SURVEY_LINE = re.compile(
     rf"(boolean|mo):\d+\tatoms=\d+\telements=\d+\toc={FLAG}\tom={FLAG}"
     rf"\tcovering=(yes|no)\tboolean={FLAG}\tirreducible={FLAG}"
     r"\tsymmetries=\d+\tplane-transitive=(yes|no)")
+PRODUCT_LINE = re.compile(
+    rf"(minimal|separated)\((boolean|mo):\d+,(boolean|mo):\d+\)\tatoms=\d+\telements=\d+"
+    rf"\toc={FLAG}\tom={FLAG}\tcovering=(yes|no)\tboolean={FLAG}\tirreducible={FLAG}"
+    r"\tsymmetries=(\d+|unknown)\tplane-transitive=(yes|no|unknown)")
 SUMMARY_LINE = re.compile(r"([a-z-]+)\tcount\t(\d+)\thits\t(\d+)\tinvalid\t\d+")
 
 
@@ -29,6 +34,13 @@ def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run([sys.executable, str(SCRIPTS / name), *args], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def _load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), SCRIPTS / name)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():
@@ -50,6 +62,27 @@ def test_survey_catalog_defaults():
         assert SURVEY_LINE.fullmatch(line), line
 
 
+def test_survey_catalog_products_report_symmetries_and_planes():
+    proc = _run_script("survey_catalog.py", "--products", "--product-atoms", "8")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    products = lines[lines.index("") + 1:]
+    assert len(products) == 2 * 20  # both products of the 20 pairs of at most 8 atoms
+    for line in products:
+        assert PRODUCT_LINE.fullmatch(line), line
+    # the separated product of two Boolean spaces is the Boolean space on
+    # their 8 pairs: all 8! permutations, and plane transitive
+    assert ("separated(boolean:2,boolean:4)\tatoms=8\telements=256\toc=yes\tom=yes"
+            "\tcovering=yes\tboolean=yes\tirreducible=no\tsymmetries=40320"
+            "\tplane-transitive=yes") in products
+
+
+def test_survey_prints_unknown_when_a_budget_runs_out(mo3_ppl):
+    script = _load_script("survey_catalog.py")
+    assert script.unless_budget(lambda: count_symmetries(mo3_ppl, budget=1)) == "unknown"
+    assert script.unless_budget(lambda: count_symmetries(mo3_ppl)) == "48"
+
+
 def test_mine_counterexamples_small_run():
     proc = _run_script("mine_counterexamples.py", "--count", "30")
     assert proc.returncode == 0, proc.stderr
@@ -63,10 +96,7 @@ def test_mine_counterexamples_small_run():
 
 @pytest.mark.parametrize("full_report", [False, True])
 def test_mine_counterexamples_prints_hits_as_report_lines(monkeypatch, capsys, full_report):
-    spec = importlib.util.spec_from_file_location("mine_counterexamples",
-                                                  SCRIPTS / "mine_counterexamples.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _load_script("mine_counterexamples.py")
     target = "minimal-covering-nontrivial"
     monkeypatch.setitem(TARGETS, target, lambda ss1, ss2: "forced hit")
     argv = ["mine_counterexamples.py", "--count", "2", "--target", target]

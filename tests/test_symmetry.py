@@ -503,3 +503,74 @@ def test_orbit_records_answer_where_per_pair_probes_ran_out(mo3):
         == 2 * 48 ** 2
     assert is_group_transitive(O.property_lattice(O.separated_product(mo3, mo3)),
                                budget=1_000_000)
+
+
+# ---------------------------------------------------------------------------
+# pair-join colours and meet-irreducible closed sets
+
+def test_meet_irreducibles_match_oracle(random_batch):
+    ppls = [O.property_lattice(ss) for ss in random_batch]
+    for ppl in ppls + _small_products() + _random_families():
+        fam = ora.family_to_sets(ppl.cs.masks)
+        assert {ora.mask_to_set(m) for m in ppl.cs.meet_irreducibles} == \
+            ora.meet_irreducibles(fam)
+
+
+def test_meet_irreducibles_below_the_coatoms_are_checked():
+    # complete orthogonality, so only closed sets tell symmetries apart;
+    # swapping a with d and b with e keeps every coatom and every pair
+    # join size, but sends the meet-irreducible {c, d, f} to {a, c, f}
+    masks = [0b0, 0b1, 0b10, 0b100, 0b1000, 0b10000, 0b100000, 0b101, 0b1001,
+             0b1100, 0b100001, 0b100100, 0b101000, 0b1101, 0b101001, 0b101100,
+             0b101110, 0b110101, 0b111111]
+    ss = O.boolean_space(6)
+    ppl = O.PPL(O.ClosureSystem.from_masks(6, masks), ss.orth, ss.labels)
+    assert 0b101100 in ppl.cs.meet_irreducibles
+    got = [s.perm for s in enumerate_symmetries(ppl)]
+    assert got == ora.all_symmetries(*_orth_and_family(ppl)) == \
+        [(0, 1, 2, 3, 4, 5), (0, 1, 5, 3, 4, 2)]
+    assert count_symmetries(ppl) == 2
+
+
+def test_pair_colours_are_kept_by_every_symmetry(mo3_ppl, random_batch):
+    ppls = [mo3_ppl] + [O.property_lattice(ss) for ss in random_batch if ss.n <= 5]
+    for ppl in ppls + _small_products() + _random_families():
+        sigs, rows = _atom_signatures(ppl)
+        n = ppl.n
+        colour = {}
+        for a in range(n):
+            seen = 1 << a
+            for c, row in enumerate(rows[a]):
+                assert not row & seen  # the colour classes are disjoint
+                seen |= row
+                colour.update(((a, b), c) for b in mask_bits(row))
+            # the class left out of the rows: every other atom
+            colour.update(((a, b), -1) for b in mask_bits((1 << n) - 1 & ~seen))
+        for f in ora.all_symmetries(*_orth_and_family(ppl)):
+            assert all(sigs[a] == sigs[f[a]] for a in range(n))
+            assert all(c == colour[f[a], f[b]] for (a, b), c in colour.items())
+
+
+# ---------------------------------------------------------------------------
+# frontier rows: products of lanterns that ran out of budget before
+
+def test_separated_squares_of_lanterns_count_their_symmetries(mo3):
+    # each factor's group, squared, and the swap of the two factors
+    assert count_symmetries(O.property_lattice(O.separated_product(mo3, mo3)),
+                            budget=1_000_000) == 2 * 48 ** 2 == 4_608
+    mo4 = O.mo_lantern(4)
+    assert count_symmetries(O.property_lattice(O.separated_product(mo4, mo4)),
+                            budget=1_000_000) == 2 * 384 ** 2 == 294_912
+
+
+def test_separated_square_of_mo3_is_plane_transitive(mo3, mo3_ppl):
+    # the factor is not plane transitive, the product is
+    assert not is_plane_transitive(mo3_ppl).transitive
+    prod = O.property_lattice(O.separated_product(mo3, mo3))
+    report = is_plane_transitive(prod)
+    assert report.transitive
+    assert len(report.witnesses) == 36 * 36 == 1_296
+    orth, fam = _orth_and_family(prod)
+    for w in report.witnesses:
+        assert verify_plane_witness(prod, w) is None
+        assert ora.is_symmetry_perm(orth, fam, w.f.perm)
