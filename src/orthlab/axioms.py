@@ -49,12 +49,24 @@ class AxiomReport:
 
 @dataclass(frozen=True)
 class Orthocomplementation:
-    """An involutive order-reversing complement, as a map on element ids."""
+    """The complement A ↦ A⊥ on the closed sets of ``ppl``, as a map on element ids.
 
-    mapping: tuple[int, ...]
+    :func:`find_compatible_orthocomplementation` shows that a compatible
+    complement can only be this map and returns it only when every perp of
+    a closed set is closed, so an image is computed when it is asked for:
+    the id of the perp of the element's atom set.
+    """
+
+    ppl: PPL
 
     def __call__(self, i: int) -> int:
-        return self.mapping[i]
+        cs = self.ppl.cs
+        return cs._index[self.ppl.orth.perp_mask(cs.masks[i])]
+
+    @property
+    def mapping(self) -> tuple[int, ...]:
+        """The image of every element id, in id order."""
+        return tuple(map(self, range(len(self.ppl.cs))))
 
 
 def _timed(axiom: str, holds: bool, cert: Certificate | None, checked: int,
@@ -78,8 +90,16 @@ def find_compatible_orthocomplementation(ppl: PPL) -> Orthocomplementation | Cer
     closed superset of A ∪ A⊥ contains (A ∪ A⊥)⊥⊥ = (A⊥ ∩ A)⊥, the whole
     ground set; and compatibility on atoms, with the complement of {q}
     being q's perp row, restates symmetry.
+
+    On a ``biorthogonal`` ppl none of the three conditions is scanned,
+    since each is a theorem there: the family is every set fixed by double
+    perp, and every perp A⊥ is fixed, A⊥⊥⊥ = A⊥, so each perp row {q}⊥
+    and each element's perp is closed, and A⊥⊥ = A for every member makes
+    perp an involution.
     """
     ppl.require_valid()
+    if ppl.biorthogonal:
+        return Orthocomplementation(ppl)
     cs, o = ppl.cs, ppl.orth
     idx = cs._index
     for q in range(o.n):
@@ -104,7 +124,7 @@ def find_compatible_orthocomplementation(ppl: PPL) -> Orthocomplementation | Cer
                 ("image", cs.element(mapping[i])),
                 ("double-image", cs.element(mapping[mapping[i]])),
             ))
-    return Orthocomplementation(tuple(mapping))
+    return Orthocomplementation(ppl)
 
 
 def check_orthomodular(ppl: PPL, oc: Orthocomplementation) -> AxiomReport:
@@ -276,7 +296,7 @@ def axiom_suite(ppl: PPL) -> tuple[AxiomReport | None, ...]:
     if isinstance(oc, Certificate):
         return (_timed("orthocomplementation", False, oc, 0, t0), None,
                 check_covering_law(ppl.cs), None, None)
-    return (_timed("orthocomplementation", True, None, len(oc.mapping), t0),
+    return (_timed("orthocomplementation", True, None, len(ppl.cs), t0),
             check_orthomodular(ppl, oc), check_covering_law(ppl.cs),
             check_boolean(ppl.cs, oc), check_irreducible(ppl, oc))
 

@@ -11,13 +11,17 @@ drawing one float per pair; a draw below the density adds the edge.
 
 from __future__ import annotations
 
+import math
 import string
 
 from .bitset import GROUND_CAPACITY
 from .errors import CapacityError, CouldNotSeparateError
-from .statespace import OrthoRelation, StateSpace
+from .statespace import OrthoRelation, StateSpace, _separation_failure
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 #: Attempts before giving up on sampling a separating relation.
 MAX_SEPARATION_ATTEMPTS = 10_000
@@ -32,10 +36,10 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def next_float(self) -> float:
@@ -87,21 +91,31 @@ def random_space(n: int, density: float, seed: int) -> StateSpace:
     the same splitmix64 stream, so the result is a pure function of
     (n, density, seed).  After ``MAX_SEPARATION_ATTEMPTS`` rejections the
     parameters are deemed unsatisfiable.
+
+    The stream is drawn in one local loop, with the steps of
+    :meth:`SplitMix64.next_u64` inlined.  A float draw x·2**-53, x being
+    the top 53 bits of the output u, lies below the density d exactly when
+    x < ⌈d·2**53⌉ (x is an integer and d·2**53 is exact), that is when
+    u < ⌈d·2**53⌉·2**11, so the comparison stays on integers.
     """
     _check_n(n)
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
-    rng = SplitMix64(seed)
+    cut = math.ceil(density * 2.0 ** 53) << 11
+    pairs = [(p, q, 1 << q, 1 << p) for p in range(n) for q in range(p + 1, n)]
+    state = seed & _MASK64
+    mask, gamma, mix1, mix2 = _MASK64, _GAMMA, _MIX1, _MIX2
     for _ in range(MAX_SEPARATION_ATTEMPTS):
         rows = [0] * n
-        for p in range(n):
-            for q in range(p + 1, n):
-                if rng.next_float() < density:
-                    rows[p] |= 1 << q
-                    rows[q] |= 1 << p
-        orth = OrthoRelation(n, tuple(rows))
-        if orth.separation_failure() is None:
-            return StateSpace(tuple(f"s{i}" for i in range(n)), orth)
+        for p, q, bit_q, bit_p in pairs:
+            state = (state + gamma) & mask
+            z = ((state ^ (state >> 30)) * mix1) & mask
+            z = ((z ^ (z >> 27)) * mix2) & mask
+            if z ^ (z >> 31) < cut:
+                rows[p] |= bit_q
+                rows[q] |= bit_p
+        if _separation_failure(rows) is None:
+            return StateSpace(tuple(f"s{i}" for i in range(n)), OrthoRelation(n, tuple(rows)))
     raise CouldNotSeparateError(
         f"no separating relation after {MAX_SEPARATION_ATTEMPTS} attempts "
         f"(n={n}, density={density}, seed={seed})")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .bitset import GROUND_CAPACITY, AtomSet, canonical_key, permute_mask
+from .bitset import GROUND_CAPACITY, AtomSet, permute_mask
 from .errors import CapacityError
 
 #: Default cap on family size for generated closure systems.
@@ -34,9 +34,11 @@ class ClosureSystem:
     """An intersection-closed family containing the full ground set.
 
     ``masks`` is strictly increasing under the canonical key, deduplicated,
-    and always contains the full set.  Builders are responsible for actual
-    intersection-closedness; :meth:`intersection_defect` re-checks it
-    exhaustively when wanted.
+    and always contains the full set.  For masks inside the ground set the
+    canonical order is the order of the integer key |m|·2**n + m, which is
+    what the constructor checks in one pass.  Builders are responsible for
+    actual intersection-closedness; :meth:`intersection_defect` re-checks
+    it exhaustively when wanted.
     """
 
     n: int
@@ -47,19 +49,29 @@ class ClosureSystem:
             raise ValueError("ground set must have at least one atom")
         if self.n > GROUND_CAPACITY:
             raise CapacityError(f"ground set of {self.n} atoms exceeds capacity {GROUND_CAPACITY}")
-        full = (1 << self.n) - 1
-        keys = [canonical_key(m) for m in self.masks]
-        if keys != sorted(set(keys)):
-            raise ValueError("masks must be unique and canonically ordered")
+        n = self.n
+        full = (1 << n) - 1
+        last = -1
         for m in self.masks:
-            if m < 0 or m >> self.n:
-                raise ValueError(f"mask 0x{m:x} out of range for n={self.n}")
+            if m < 0 or m > full:
+                raise ValueError(f"mask 0x{m:x} out of range for n={n}")
+            key = m.bit_count() << n | m
+            if key <= last:
+                raise ValueError("masks must be unique and canonically ordered")
+            last = key
         if not self.masks or self.masks[-1] != full:
             raise ValueError("family must contain the full ground set")
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "ClosureSystem":
-        return cls(n, tuple(sorted(set(masks), key=canonical_key)))
+        """The family of ``masks``, deduplicated and put in canonical order.
+
+        The order is one sort by value followed by a stable sort by
+        cardinality, both keyed in C.
+        """
+        ordered = sorted(set(masks))
+        ordered.sort(key=int.bit_count)
+        return cls(n, tuple(ordered))
 
     # -- derived structure ------------------------------------------------
 

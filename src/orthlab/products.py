@@ -15,7 +15,7 @@ from __future__ import annotations
 from .bitset import GROUND_CAPACITY, mask_bits
 from .closure import DEFAULT_FAMILY_CAP, ClosureSystem
 from .errors import CapacityError, InvariantViolationError
-from .statespace import PPL, OrthoRelation, StateSpace
+from .statespace import PPL, OrthoRelation, StateSpace, validate_state_space
 
 
 def pair_index(i: int, j: int, n2: int) -> int:
@@ -77,16 +77,19 @@ def product_orthogonality(o1: OrthoRelation, o2: OrthoRelation) -> OrthoRelation
 def separated_product(ss1: StateSpace, ss2: StateSpace) -> StateSpace:
     """State space on the pair set with the product orthogonality.
 
-    Separation carries over from the factors; it is re-checked anyway and
-    a failure is reported as an internal invariant violation.
+    The state-space axioms carry over from the factors; they are
+    re-checked anyway and a failure is reported as an internal invariant
+    violation.  The check fills the relation's cached
+    :attr:`~OrthoRelation.checks`, so validating the product later costs
+    nothing more.
     """
     ss1.require_valid()
     ss2.require_valid()
     orth = product_orthogonality(ss1.orth, ss2.orth)
     out = StateSpace(pair_labels(ss1.labels, ss2.labels), orth)
-    if orth.separation_failure() is not None:
+    if not validate_state_space(out).ok:
         raise InvariantViolationError(
-            "separated product of valid factors must be separating")
+            "separated product of valid factors must be a valid state space")
     return out
 
 

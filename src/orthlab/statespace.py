@@ -15,11 +15,12 @@ constructions produce ppl's whose family is not the biorthogonal one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 from .bitset import AtomSet, mask_bits
 from .closure import DEFAULT_FAMILY_CAP, ClosureSystem, _meet_closure_masks
-from .errors import InvalidInstanceError, InvariantViolationError
+from .errors import CapacityError, InvalidInstanceError
 
 
 @dataclass(frozen=True)
@@ -43,13 +44,24 @@ class ValidationReport:
         return [c for c in self.checks if not c.ok]
 
 
+def _separation_failure(rows: Sequence[int]) -> tuple[int, int] | None:
+    """First ordered pair (p, q) of row indices with row p inside row q."""
+    for p, rp in enumerate(rows):
+        for q, rq in enumerate(rows):
+            if rp & ~rq == 0 and p != q:
+                return (p, q)
+    return None
+
+
 @dataclass(frozen=True)
 class OrthoRelation:
     """Orthogonality on states 0..n-1, stored as one row mask per state.
 
     The container itself does not enforce the axioms; build through
     :meth:`from_pairs` for symmetrized input, and use the ``*_failure``
-    probes (or :func:`validate_state_space`) for checking.
+    probes (or :func:`validate_state_space`) for checking.  The relation
+    is frozen, so :attr:`checks` runs the three probes once and every
+    later validation of the same relation reads the result.
     """
 
     n: int
@@ -101,19 +113,28 @@ class OrthoRelation:
         return None
 
     def symmetric_failure(self) -> tuple[int, int] | None:
-        for p in range(self.n):
-            for q in mask_bits(self.rows[p]):
-                if not (self.rows[q] >> p) & 1:
-                    return (p, q)
+        rows = self.rows
+        for p, rp in enumerate(rows):
+            bit = 1 << p
+            while rp:
+                low = rp & -rp
+                if not rows[low.bit_length() - 1] & bit:
+                    return (p, low.bit_length() - 1)
+                rp ^= low
         return None
 
     def separation_failure(self) -> tuple[int, int] | None:
         """First ordered pair (p, q) with no r orthogonal to p but not to q."""
-        for p in range(self.n):
-            for q in range(self.n):
-                if p != q and self.rows[p] & ~self.rows[q] == 0:
-                    return (p, q)
-        return None
+        return _separation_failure(self.rows)
+
+    @cached_property
+    def checks(self) -> tuple[CheckResult, ...]:
+        """Antireflexivity, symmetry and separation, with witnesses."""
+        return (
+            CheckResult("antireflexive", (w := self.antireflexive_failure()) is None, w),
+            CheckResult("symmetric", (w := self.symmetric_failure()) is None, w),
+            CheckResult("separating", (w := self.separation_failure()) is None, w),
+        )
 
 
 @dataclass(frozen=True)
@@ -141,17 +162,9 @@ class StateSpace:
             raise InvalidInstanceError(report)
 
 
-def _orthogonality_checks(o: OrthoRelation) -> tuple[CheckResult, ...]:
-    return (
-        CheckResult("antireflexive", (w := o.antireflexive_failure()) is None, w),
-        CheckResult("symmetric", (w := o.symmetric_failure()) is None, w),
-        CheckResult("separating", (w := o.separation_failure()) is None, w),
-    )
-
-
 def validate_state_space(ss: StateSpace) -> ValidationReport:
     """Check antireflexivity, symmetry, and separation, with witnesses."""
-    return ValidationReport(_orthogonality_checks(ss.orth))
+    return ValidationReport(ss.orth.checks)
 
 
 def perp(ss: StateSpace, a: AtomSet) -> AtomSet:
@@ -174,8 +187,8 @@ class PPL:
     """A T1 closure system with an orthogonality on its atoms.
 
     ``biorthogonal`` marks families whose closure operator coincides with
-    double perp (set by :func:`property_lattice` and by ``parse_ppl``
-    through :func:`is_biorthogonal_family`, both of which verify it);
+    double perp (set by :func:`property_lattice`, where it is a theorem,
+    and by ``parse_ppl`` when :func:`is_biorthogonal_family` says so);
     joins then take the double perp instead of the closure system's
     superset lookup.
     """
@@ -203,7 +216,7 @@ class PPL:
     def validate(self) -> ValidationReport:
         """The state-space checks on the orthogonality, plus T1 for the family."""
         return ValidationReport(
-            _orthogonality_checks(self.orth) + (CheckResult("t1", self.cs.is_t1, None),))
+            self.orth.checks + (CheckResult("t1", self.cs.is_t1, None),))
 
     def require_valid(self) -> None:
         report = self.validate()
@@ -214,44 +227,38 @@ class PPL:
 def is_biorthogonal_family(cs: ClosureSystem, orth: OrthoRelation) -> bool:
     """Is the family exactly the sets fixed by double perp?
 
-    It is when the empty set is a member, every member m is fixed by double
-    perp, and (m ∪ {r})⊥⊥ is a member for every atom r outside m.  Every X
-    fixed by double perp is then reached from the empty set by such steps
-    inside X: m ⊊ X and r in X∖m give m ⊊ (m ∪ {r})⊥⊥ ⊆ X⊥⊥ = X.  Both
-    tests run member by member in canonical order, so a family that is not
-    biorthogonal, like a minimal product, fails at one of its first
-    members.  The cost is O(m·n) perps.
+    For a symmetric relation the sets fixed by double perp are exactly
+    the intersections of perp rows, the full set being the empty one:
+    X = X⊥⊥ is the intersection of the rows of the atoms in X⊥, and an
+    intersection of rows is a perp A⊥, which A⊥⊥⊥ = A⊥ fixes.  So the
+    question is whether the meet closure of the rows is ``cs``.  The
+    closure is stopped once it outgrows ``cs``, so a family smaller than
+    the double-perp one, like the rectangles of a minimal product, is
+    rejected early.  The relation must be symmetric, as every parsed one
+    is.
     """
-    if 0 not in cs:
+    try:
+        closed = _meet_closure_masks(orth.rows, orth.n, max_family=len(cs))
+    except CapacityError:
         return False
-    full = (1 << orth.n) - 1
-    rows = orth.rows
-    perp_mask = orth.perp_mask
-    for m in cs.masks:
-        pm = perp_mask(m)
-        if perp_mask(pm) != m:
-            return False
-        for r in mask_bits(full & ~m):
-            if perp_mask(pm & rows[r]) not in cs:
-                return False
-    return True
+    return closed.masks == cs.masks
 
 
 def property_lattice(ss: StateSpace, *, max_family: int = DEFAULT_FAMILY_CAP) -> PPL:
     """Family of biorthogonally closed subsets of a valid state space.
 
-    Every closed set is an intersection of perp rows, so the family is
-    generated from the rows instead of scanning all 2**n subsets.  The
-    construction double-checks that each member is fixed by double perp
-    and that the family is T1 (both are consequences of the axioms).
+    Every closed set is an intersection of perp rows, so the family is the
+    meet closure of the rows instead of a scan of all 2**n subsets.  Its
+    members need no double-perp recheck: an intersection of the rows of
+    the atoms in A is the perp A⊥, and A⊥⊥⊥ = A⊥.  Nor does the family
+    need a T1 recheck: by antireflexivity no atom lies in its own row, so
+    the intersection of all rows is the empty set; and for q ≠ p,
+    separation gives some r orthogonal to p but not to q, so p's closure
+    {p}⊥⊥, the intersection of the rows of the atoms orthogonal to p,
+    lies inside r's row and misses q (symmetry puts p in each of those
+    rows).
     """
     ss.require_valid()
     o = ss.orth
     cs = _meet_closure_masks(o.rows, o.n, max_family=max_family)
-    for m in cs.masks:
-        if o.perp_mask(o.perp_mask(m)) != m:
-            raise InvariantViolationError(
-                f"member 0x{m:x} of a property lattice is not biorthogonally closed")
-    if not cs.is_t1:
-        raise InvariantViolationError("property lattice of a valid state space must be T1")
     return PPL(cs=cs, orth=o, labels=ss.labels, biorthogonal=True)

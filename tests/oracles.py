@@ -120,6 +120,31 @@ def closed_masks_brute(rows, n: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# the catalog's random space, from its specification
+
+def random_orthogonality(n: int, density: float, rng,
+                         max_attempts: int) -> Optional[dict[int, set[int]]]:
+    """The first separating sample of ``rng``'s stream, or None after ``max_attempts``.
+
+    Each attempt draws one float per unordered pair, in row-major order
+    (0,1), (0,2), ..., (n-2,n-1), and a draw below the density makes the
+    pair orthogonal; a non-separating attempt is followed by the next one
+    on the same stream.  ``rng`` is the catalog's splitmix64 generator, of
+    which only ``next_float`` is used.
+    """
+    for _ in range(max_attempts):
+        orth: dict[int, set[int]] = {p: set() for p in range(n)}
+        for p in range(n):
+            for q in range(p + 1, n):
+                if rng.next_float() < density:
+                    orth[p].add(q)
+                    orth[q].add(p)
+        if is_separating(orth):
+            return orth
+    return None
+
+
+# ---------------------------------------------------------------------------
 # set families: intersection saturation, order structure
 
 def saturate_intersections(generators: Iterable[frozenset[int]],

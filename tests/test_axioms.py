@@ -72,6 +72,25 @@ def test_forced_candidate_agrees_with_brute_search(b2_ppl, b3_ppl, mo2_ppl, rand
     assert kinds == {"atom-row-not-closed", "not-involutive"}
 
 
+def test_complement_of_a_property_lattice_is_perp(random_batch):
+    # no scan runs on a biorthogonal lattice, so check the images it
+    # computes on demand, lattices of more than 16 members included
+    lattices = [O.property_lattice(ss) for ss in random_batch]
+    lattices += [O.property_lattice(O.boolean_space(k)) for k in range(1, 6)]
+    lattices += [O.property_lattice(O.mo_lantern(k)) for k in range(2, 5)]
+    lattices += [O.parse_ppl(O.serialize_ppl(ppl)) for ppl in lattices]
+    assert all(ppl.biorthogonal for ppl in lattices)
+    assert max(len(ppl.cs) for ppl in lattices) > 16
+    for ppl in lattices:
+        oc = find_compatible_orthocomplementation(ppl)
+        assert not isinstance(oc, Certificate)
+        _, _, complement = _oracle_world(ppl)
+        masks, mapping = ppl.cs.masks, oc.mapping
+        assert {ora.mask_to_set(masks[i]): ora.mask_to_set(masks[j])
+                for i, j in enumerate(mapping)} == complement
+        assert all(mapping[j] == i for i, j in enumerate(mapping))
+
+
 def test_minimal_product_has_no_orthocomplementation(b2_ppl):
     prod = O.minimal_product(b2_ppl, b2_ppl)
     cert = find_compatible_orthocomplementation(prod)

@@ -1,8 +1,12 @@
 """Catalog generators and the pinned pseudo-random stream."""
 
+import math
+
 import pytest
 
+import oracles as ora
 import orthlab as O
+from orthlab import catalog
 from orthlab.catalog import MAX_SEPARATION_ATTEMPTS, SplitMix64, from_spec
 from orthlab.errors import CapacityError, CouldNotSeparateError
 
@@ -100,6 +104,57 @@ def test_random_space_resampling_is_one_stream():
     b = O.random_space(5, 0.4, 11)
     assert a == b
     assert MAX_SEPARATION_ATTEMPTS >= 1000
+
+
+def _agrees_with_specification(n, density, seed, attempts):
+    ref = ora.random_orthogonality(n, density, SplitMix64(seed), attempts)
+    try:
+        got = ora.rows_to_dict(O.random_space(n, density, seed).orth.rows)
+    except CouldNotSeparateError:
+        got = None
+    return got == ref
+
+
+#: Densities that separate within a few attempts, with the two doubles next
+#: to 0.5, whose integer cuts ⌈d·2**53⌉ are 2**52 (rounded up) and 2**52 + 1.
+QUICK_DENSITIES = (1 / 3, 0.5, 0.7, 1.0, math.nextafter(0.5, 0), math.nextafter(0.5, 1))
+
+
+def test_random_space_follows_its_specification():
+    cases = [(n, d) for n in range(1, 9) for d in QUICK_DENSITIES]
+    cases += [(n, 0.1) for n in range(1, 5)]  # up to hundreds of rejections
+    cases += [(1, 0.0)]
+    for n, density in cases:
+        for seed in range(51):
+            assert _agrees_with_specification(n, density, seed, MAX_SEPARATION_ATTEMPTS), \
+                (n, density, seed)
+    for seed in range(3):  # never separates, so every attempt is drawn
+        assert ora.random_orthogonality(2, 0.0, SplitMix64(seed), MAX_SEPARATION_ATTEMPTS) is None
+        with pytest.raises(CouldNotSeparateError):
+            O.random_space(2, 0.0, seed)
+
+
+def test_random_space_gives_up_where_its_specification_does(monkeypatch):
+    # A lower attempt cap makes sparse densities give up often, and cheaply.
+    monkeypatch.setattr(catalog, "MAX_SEPARATION_ATTEMPTS", 40)
+    for n in range(1, 9):
+        for density in (0.0, 0.1):
+            for seed in range(51):
+                assert _agrees_with_specification(n, density, seed, 40), (n, density, seed)
+    # One attempt of two states is one draw x·2**-53, and the pair separates
+    # exactly when the draw lies below the density: not at x·2**-53 itself,
+    # but at the double half a unit above it.
+    monkeypatch.setattr(catalog, "MAX_SEPARATION_ATTEMPTS", 1)
+    seeds = [seed for seed in range(51) if SplitMix64(seed).next_u64() >> 11 < 1 << 52]
+    assert len(seeds) > 10
+    for seed in seeds:
+        x = SplitMix64(seed).next_u64() >> 11
+        with pytest.raises(CouldNotSeparateError):
+            O.random_space(2, x * 2.0 ** -53, seed)
+        assert O.random_space(2, (x + 0.5) * 2.0 ** -53, seed).orth.rows == (0b10, 0b01)
+        assert ora.random_orthogonality(2, x * 2.0 ** -53, SplitMix64(seed), 1) is None
+        assert ora.random_orthogonality(2, (x + 0.5) * 2.0 ** -53, SplitMix64(seed), 1) \
+            == {0: {1}, 1: {0}}
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,8 @@ def test_direct_construction_requires_canonical_order():
         ClosureSystem(2, (0b11, 0b00))
     with pytest.raises(ValueError):
         ClosureSystem(2, (0b00, 0b10, 0b01, 0b11))  # same size, wrong value order
+    with pytest.raises(ValueError, match="unique"):
+        ClosureSystem(2, (0b00, 0b01, 0b01, 0b11))  # a duplicate
 
 
 def test_family_must_contain_ground_set():
@@ -52,6 +54,10 @@ def test_ground_set_size_limits():
 def test_mask_out_of_range():
     with pytest.raises(ValueError):
         ClosureSystem(2, (0b00, 0b11, 0b100))
+    with pytest.raises(ValueError, match="out of range"):
+        ClosureSystem(2, (0b00, 0b100, 0b11))  # canonically ordered; only the range is wrong
+    with pytest.raises(ValueError, match="out of range"):
+        ClosureSystem.from_masks(2, [0b00, -1, 0b11])
 
 
 # ---------------------------------------------------------------------------

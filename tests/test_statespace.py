@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import orthlab as O
 from orthlab.bitset import AtomSet
 from orthlab.errors import CapacityError, InvalidInstanceError, InvariantViolationError
-from orthlab.statespace import OrthoRelation, PPL, StateSpace
+from orthlab.statespace import OrthoRelation, PPL, StateSpace, is_biorthogonal_family
 
 import oracles as ora
 
@@ -144,6 +144,17 @@ def test_property_lattice_join_is_double_perp(mo2, mo2_ppl):
         direct = mo2_ppl.cs.closure_mask(m)
         assert mo2_ppl.join_mask(m) == direct
         assert O.biorthogonal_closure(mo2, AtomSet(m, 4)).bits == direct
+
+
+def test_biorthogonal_family_is_the_meet_closure_of_the_rows(mo2, mo2_ppl, b2_ppl):
+    assert is_biorthogonal_family(mo2_ppl.cs, mo2.orth)
+    # more sets than the double-perp family: the closure of the rows ends smaller
+    assert not is_biorthogonal_family(O.ClosureSystem.from_masks(4, range(16)), mo2.orth)
+    # fewer: the closure is stopped once it outgrows the 10 rectangles
+    prod = O.minimal_product(b2_ppl, b2_ppl)
+    assert len(prod.cs) == 10
+    assert not is_biorthogonal_family(prod.cs, prod.orth)
+    assert is_biorthogonal_family(O.property_lattice(O.boolean_space(4)).cs, prod.orth)
 
 
 def test_property_lattice_rejects_invalid_space():
