@@ -6,7 +6,8 @@ axiom profile, symmetry-group order, and plane transitivity.  With
 ``--products``, the same profile for the minimal and separated products
 of every catalog pair that fits the atom budget.  A symmetry count or
 plane verdict whose search runs out of its node budget prints
-``unknown``.
+``unknown``, and so does every cell of a product whose closed family
+exceeds the family cap.
 """
 
 import argparse
@@ -14,7 +15,7 @@ import sys
 
 import orthlab as O
 from orthlab.axioms import axiom_suite
-from orthlab.errors import BudgetExceededError
+from orthlab.errors import BudgetExceededError, CapacityError
 from orthlab.products import minimal_product, separated_product
 from orthlab.statespace import property_lattice
 from orthlab.symmetry import count_symmetries, is_plane_transitive
@@ -44,9 +45,19 @@ def survey_line(name: str, ppl) -> str:
     cols = [name, f"atoms={ppl.n}", f"elements={len(ppl.cs)}"]
     cols += [f"{key}={flag}" for key, flag in axiom_profile(ppl).items()]
     cols.append(f"symmetries={unless_budget(lambda: count_symmetries(ppl))}")
-    cols.append("plane-transitive="
-                + unless_budget(lambda: yn(is_plane_transitive(ppl).transitive)))
+    cols.append("plane-transitive=" + unless_budget(
+        lambda: yn(is_plane_transitive(ppl, witnesses=False).transitive)))
     return "\t".join(cols)
+
+
+def product_line(name: str, atoms: int, build) -> str:
+    """The survey line of the product ``build()`` makes, or its name and
+    atom count with ``unknown`` cells if its family exceeds the cap."""
+    try:
+        return survey_line(name, build())
+    except CapacityError:
+        keys = ("elements", *PROFILE_KEYS, "symmetries", "plane-transitive")
+        return "\t".join([name, f"atoms={atoms}"] + [f"{key}=unknown" for key in keys])
 
 
 def main() -> int:
@@ -77,9 +88,10 @@ def main() -> int:
                 if ss1.n * ss2.n > args.product_atoms:
                     continue
                 p1, p2 = property_lattice(ss1), property_lattice(ss2)
-                print(survey_line(f"minimal({name1},{name2})", minimal_product(p1, p2)))
-                print(survey_line(f"separated({name1},{name2})",
-                                  property_lattice(separated_product(ss1, ss2))))
+                print(product_line(f"minimal({name1},{name2})", ss1.n * ss2.n,
+                                   lambda: minimal_product(p1, p2)))
+                print(product_line(f"separated({name1},{name2})", ss1.n * ss2.n,
+                                   lambda: property_lattice(separated_product(ss1, ss2))))
     return 0
 
 

@@ -163,15 +163,14 @@ def _atoms_named(labels: tuple[str, ...]) -> Iterator[None]:
 def cmd_plane(args) -> int:
     ppl = as_ppl(load_source(args.src))
     with _atoms_named(ppl.labels):
-        report = is_plane_transitive(ppl, budget=args.budget)
+        report = is_plane_transitive(ppl, budget=args.budget, witnesses=args.witnesses)
     print(f"plane-transitive\t{'true' if report.transitive else 'false'}")
     if report.note:
         print(f"note\t{report.note}")
-    if report.transitive and args.witnesses:
-        for w in report.witnesses:
-            images = " ".join(ppl.labels[t] for t in w.f.perm)
-            print(f"witness\t{ppl.labels[w.p]}\t{ppl.labels[w.q]}"
-                  f"\t{ppl.labels[w.p1]}\t{ppl.labels[w.p2]}\t{images}")
+    for w in report.witnesses or ():
+        images = " ".join(ppl.labels[t] for t in w.f.perm)
+        print(f"witness\t{ppl.labels[w.p]}\t{ppl.labels[w.q]}"
+              f"\t{ppl.labels[w.p1]}\t{ppl.labels[w.p2]}\t{images}")
     if not report.transitive and report.failing_pair is not None:
         p, q = report.failing_pair
         print(f"failing-pair\t{ppl.labels[p]}\t{ppl.labels[q]}")

@@ -21,6 +21,8 @@ parsed canonical file reproduces it byte for byte.
 
 from __future__ import annotations
 
+import io
+
 from .bitset import AtomSet, mask_bits
 from .closure import ClosureSystem
 from .errors import InvalidInstanceError, ParseError
@@ -208,7 +210,10 @@ def serialize_ppl(ppl: PPL) -> str:
 
 
 def sniff_format(text: str) -> str:
-    """First word of the first meaningful line: 'statespace', 'ppl', 'search', ..."""
-    for toks in _tokenize(text):
-        return toks[0][0]
+    """First word of the first meaningful line ('statespace', 'ppl', 'search',
+    ...), split as :func:`_tokenize` splits it, without reading the lines after."""
+    for chunk in io.StringIO(text):
+        for line in chunk.splitlines():
+            if words := line.split("#", 1)[0].split():
+                return words[0]
     raise ParseError("empty document", 0, 0)

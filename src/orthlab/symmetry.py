@@ -1,42 +1,30 @@
 """Symmetries of a ppl and plane-transitivity search.
 
 A symmetry is an atom permutation that maps closed sets to closed sets
-in both directions and preserves orthogonality in both directions.  The
-backtracking search assigns pinned atoms first, then the free atoms in
-ascending order, trying images in ascending order, so symmetries come out
-in lexicographic order of the image tuple.  Candidates are pruned on the
-pair-join colouring (:class:`_Colours`): a symmetry maps cl(X) onto
-cl(f(X)), so it keeps each pair's colour (a ⊥ b, |join{a, b}|), and a
-candidate image must give every pair with the atoms already assigned its
-colour; orthogonality is one part of that colour.  Only the
-meet-irreducible closed sets are checked, each once, as soon as all of
-its atoms have images: they generate the family under intersection, so a
-bijection that keeps them closed keeps every closed set closed.  On a
-property lattice no closed-set check is needed at all (see
-:func:`_backtrack`).  Pruning only ever cuts subtrees that hold no
-symmetry, so the order and the results are those of the unpruned search.
+in both directions and preserves orthogonality in both directions;
+:mod:`orthlab.backtrack` searches for them.
 
-Group orders, group transitivity and plane witnesses are decided by
-pinned existence probes: is there a symmetry in a group G (all
-symmetries, or those fixing some atoms) that maps p to q?  Each search
-keeps an orbit record of G (:class:`_Orbits`): a symmetry a probe finds
-joins the classes along all of its cycles, and a failed probe marks two
-whole classes as lying in different orbits.  A probe whose answer the
-record already holds is skipped, so the searches run a subset of the
-one-probe-per-pair loops with the same answers.  The group order is the
-product of the basic orbit lengths along the base 0, 1, ..., n-1, read
-off the records, so the group is never listed to be counted.  A plane
-witness for (p, q) is a symmetry carrying p to q while fixing, atom by
-atom, the join of two distinct atoms.  Searches are budgeted: running
-out raises :class:`BudgetExceededError`, which is an "unknown" outcome,
-never a negative one.
+Group orders come from pinned existence probes (does some symmetry in a
+group G map p to q?) that keep an orbit record of G (:class:`_Orbits`);
+the symmetries found are a strong generating set S (:func:`_group`).  A
+plane witness for (p, q) carries p to q and fixes a plane, the join of two
+atoms, atom by atom: one exists exactly when p and q share an orbit of the
+plane's pointwise stabilizer.  S sorts the planes into orbits; only the
+first plane R of each gets probes, and t(R) moves R's stabilizer orbits by
+t, as Stab(t(R)) = t·Stab(R)·t⁻¹ (:class:`_PlaneOrbits`).  These tables give
+the verdict and the first pair without a witness.  A witness costs one
+probe, in the first plane whose orbits join p and q, and none for p = q:
+the identity in the first plane; ``witnesses=False`` builds none.  Running
+out of budget raises :class:`BudgetExceededError`, an "unknown" outcome;
+the group and the tables share one budget, each witness probe has its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
+from .backtrack import _atom_signatures, _backtrack, _Budget, _Colours, _pinned, _planes
 from .bitset import mask_bits, permute_mask
 from .errors import BudgetExceededError, InvariantViolationError
 from .statespace import PPL
@@ -86,21 +74,6 @@ class PlaneTransitivityReport:
     note: str | None = None
 
 
-class _Budget:
-    """Mutable node counter; raises once the limit is spent."""
-
-    __slots__ = ("limit", "spent")
-
-    def __init__(self, limit: int | None):
-        self.limit = limit
-        self.spent = 0
-
-    def spend(self) -> None:
-        self.spent += 1
-        if self.limit is not None and self.spent > self.limit:
-            raise BudgetExceededError(self.spent)
-
-
 def symmetry_failure(ppl: PPL, perm: Sequence[int]) -> SymmetryDefect | None:
     """First reason ``perm`` is not a symmetry, or None if it is one.
 
@@ -126,127 +99,6 @@ def symmetry_failure(ppl: PPL, perm: Sequence[int]) -> SymmetryDefect | None:
 
 def is_symmetry(ppl: PPL, perm: Sequence[int]) -> bool:
     return symmetry_failure(ppl, perm) is None
-
-
-class _Colours(NamedTuple):
-    """The pair-join colouring of the atoms, which every symmetry keeps.
-
-    The colour of a pair of distinct atoms (a, b) is (a ⊥ b, |join{a, b}|).
-    ``sigs[a]`` is a's own colour (a ⊥ a, |cl{a}|) with the histogram of
-    the colours of a's pairs.  ``rows[a][c]`` is the mask of the atoms b
-    with (a, b) of the c-th colour, for every colour but the one with the
-    most pairs: the colours of a's pairs partition the other atoms, so a
-    bijection that keeps every colour class but one keeps that one too.
-    """
-
-    sigs: tuple
-    rows: tuple[tuple[int, ...], ...]
-
-
-def _atom_signatures(ppl: PPL, planes: list[tuple[int, int, int]] | None = None) -> _Colours:
-    """The pair-join colouring: per-atom signatures and the colour rows.
-
-    A symmetry f maps closed sets onto closed sets, so it maps cl(X) onto
-    cl(f(X)): |join{a, b}| = |join{f(a), f(b)}|, and f keeps orthogonality.
-    Both halves of a pair's colour, and so each atom's histogram, are
-    invariant, on biorthogonal families and others alike.  The joins come
-    from ``planes`` (:func:`_planes`, computed here when not given), so
-    this takes O(n²) joins and never reads the closed family.
-    """
-    n = ppl.n
-    if planes is None:
-        planes = _planes(ppl)
-    orth = ppl.orth.rows
-    by_colour: dict[tuple[int, int], list[int]] = {}
-    for p1, p2, plane in planes:
-        row = by_colour.setdefault((orth[p1] >> p2 & 1, plane.bit_count()), [0] * n)
-        row[p1] |= 1 << p2
-        row[p2] |= 1 << p1
-    order = sorted(by_colour, key=lambda c: (sum(map(int.bit_count, by_colour[c])), c))
-    classes = [by_colour[c] for c in order]
-    sigs = tuple(
-        ((orth[a] >> a & 1, ppl.join_mask(1 << a).bit_count()),
-         tuple(cls[a].bit_count() for cls in classes))
-        for a in range(n))
-    return _Colours(sigs, tuple(tuple(cls[a] for cls in classes[:-1]) for a in range(n)))
-
-
-def _backtrack(ppl: PPL, pins: dict[int, int], budget: _Budget,
-               colours: _Colours | None = None) -> Iterator[tuple[int, ...]]:
-    """All symmetries consistent with ``pins``, in lexicographic order.
-
-    An atom may only map to an atom of the same signature, and every pair
-    of assigned atoms must keep its colour (see :class:`_Colours`); the
-    orthogonality row is one part of that colouring.  The pins are
-    assigned before the search and checked once against each other: on
-    every colour row, and on the meet-irreducible closed sets that lie
-    wholly inside the pinned atoms.  The free atoms are then assigned in
-    ascending order; each candidate image costs one budget node, and each
-    meet-irreducible is checked at the free atom that completes it.  A
-    pruned subtree therefore holds no symmetry, and a completed assignment
-    needs no final check.
-
-    Only the meet-irreducibles (``cs.meet_irreducibles``) are checked.
-    Every closed set is an intersection of them (the top is the empty
-    intersection), and a bijection f has f(A ∩ B) = f(A) ∩ f(B); so if f
-    maps each meet-irreducible into the intersection-closed family, it
-    maps the whole family into it, and, being injective, onto it.
-
-    On a property lattice (``ppl.biorthogonal``) no closed set is checked:
-    the family is exactly the sets A⊥⊥, and a bijection f that preserves
-    orthogonality both ways has f(A⊥) = f(A)⊥, hence f(A⊥⊥) = f(A)⊥⊥, so
-    it maps the family into itself and, being injective, onto itself.
-    """
-    n = ppl.n
-    cs = ppl.cs
-    if colours is None:
-        colours = _atom_signatures(ppl)
-    sigs, rows = colours
-    if len(set(pins.values())) != len(pins):
-        return
-    perm = [-1] * n
-    dom = used = 0
-    for p, q in pins.items():
-        if sigs[p] != sigs[q]:
-            return
-        perm[p] = q
-        dom |= 1 << p
-        used |= 1 << q
-    for p, q in pins.items():
-        for mine, theirs in zip(rows[p], rows[q]):
-            if theirs & used != permute_mask(perm, mine & dom):
-                return
-    completes: list[list[int]] = [[] for _ in range(n)]
-    if not ppl.biorthogonal:
-        for m in cs.meet_irreducibles:
-            rest = m & ~dom
-            if rest:
-                completes[rest.bit_length() - 1].append(m)
-            elif permute_mask(perm, m) not in cs:
-                return
-    free = [p for p in range(n) if not (dom >> p) & 1]
-    by_sig: dict = {}
-    for q in range(n):
-        by_sig.setdefault(sigs[q], []).append(q)
-
-    def descend(k: int, assigned: int, used: int) -> Iterator[tuple[int, ...]]:
-        if k == len(free):
-            yield tuple(perm)
-            return
-        pos = free[k]
-        req = tuple(permute_mask(perm, row & assigned) for row in rows[pos])
-        rest = None  # images of the sets pos completes, minus pos itself
-        for q in by_sig[sigs[pos]]:
-            budget.spend()
-            if (used >> q) & 1 or tuple(row & used for row in rows[q]) != req:
-                continue
-            if rest is None:
-                rest = [permute_mask(perm, m ^ 1 << pos) for m in completes[pos]]
-            if all(r | 1 << q in cs for r in rest):
-                perm[pos] = q
-                yield from descend(k + 1, assigned | 1 << pos, used | 1 << q)
-
-    yield from descend(0, dom, used)
 
 
 class _Orbits:
@@ -322,18 +174,20 @@ def enumerate_symmetries(ppl: PPL, budget: int | None = DEFAULT_BUDGET) -> Itera
 
 
 def count_symmetries(ppl: PPL, budget: int | None = DEFAULT_BUDGET) -> int:
-    """Order of the symmetry group, without listing it.
+    """Order of the symmetry group, without listing it (see :func:`_group`)."""
+    return _group(ppl, _Budget(budget), _atom_signatures(ppl))[0]
 
-    Let G_i be the symmetries fixing atoms 0..i-1.  By orbit-stabilizer,
-    |G_i| = |orbit of i under G_i| * |G_{i+1}|, so |G| is the product of
-    those orbit lengths.  The levels run from the last atom back to the
-    first, so every symmetry found so far fixes 0..i-1 and seeds the orbit
-    record of G_i.  Level i probes i -> q (0..i-1 fixed) only for the q
-    outside i's class that are not known apart from it; the final class of
-    i is its orbit.  All probes share one node budget.
+
+def _group(ppl: PPL, b: _Budget, colours: _Colours) -> tuple[int, list[tuple[int, ...]]]:
+    """The group order and a strong generating set S: the symmetries found.
+
+    Let G_i fix atoms 0..i-1: |G_i| = |orbit of i under G_i| * |G_{i+1}|.
+    The levels run from the last atom back, so the symmetries found so far
+    fix 0..i-1 and seed the orbit record of G_i.  Level i probes i -> q for
+    the q outside i's class not known apart from it, so the final class of
+    i is its orbit; if S ∩ G_{i+1} generates G_{i+1}, then S ∩ G_i generates
+    G_i (Seress, *Permutation Group Algorithms*, 2003, ch. 4).
     """
-    b = _Budget(budget)
-    colours = _atom_signatures(ppl)
     n = ppl.n
     order = 1
     found: list[tuple[int, ...]] = []
@@ -342,59 +196,107 @@ def count_symmetries(ppl: PPL, budget: int | None = DEFAULT_BUDGET) -> int:
         fixed = {a: a for a in range(i)}
         for q in range(i + 1, n):
             if not orbits.cls[i] >> q & 1:
-                perm = orbits.probe(ppl, {**fixed, i: q}, i, q, b, colours)
+                perm = orbits.probe(ppl, {i: q, **fixed}, i, q, b, colours)
                 if perm is not None:
                     found.append(perm)
         order *= orbits.cls[i].bit_count()
-    return order
+    return order, found
+
+
+class _PlaneOrbits:
+    """The orbits of the pointwise stabilizer of each plane, on demand.
+
+    ``rep`` maps a plane P to the first (p1, p2, R) of its orbit and a t with
+    t(R) = P.  The members of S fixing R seed an orbit record of R's stabilizer,
+    and probes on the one budget ``b`` settle the pairs the colours leave open.
+    """
+
+    def __init__(self, ppl: PPL, budget: int | None):
+        self.ppl, self.budget, self.b = ppl, budget, _Budget(budget)
+        self.planes = _planes(ppl)
+        self.colours = _atom_signatures(ppl, self.planes)
+        self.gens = []  # S, once a plane is asked for
+        self.rep = {}
+        self.stab = {}  # first plane of an orbit -> orbit of each atom
+        self.conj = {}  # plane -> orbit of each atom
+
+    def first_planes(self, p: int, wanted: int) -> tuple[dict[int, int], int]:
+        """The first plane with a witness for each (p, q), q in ``wanted``; the q left."""
+        found = {}
+        for j, (_, _, plane) in enumerate(self.planes):
+            if wanted and not plane >> p & 1 and wanted & ~plane:
+                hits = self.orbits(plane)[p] & wanted
+                wanted ^= hits
+                found.update(dict.fromkeys(mask_bits(hits), j))
+        return found, wanted
+
+    def orbits(self, plane: int) -> list[int]:
+        if plane not in self.conj:
+            if not self.rep:
+                self._transport()
+            first, t = self.rep[plane]
+            if first[2] not in self.stab:
+                self.stab[first[2]] = self._stabilizer(*first)
+            self.conj[plane] = out = [0] * self.ppl.n
+            for cls in set(self.stab[first[2]]):
+                image = permute_mask(t, cls)
+                for x in mask_bits(image):
+                    out[x] = image
+        return self.conj[plane]
+
+    def _transport(self) -> None:
+        self.gens = _group(self.ppl, self.b, self.colours)[1]
+        for first in self.planes:
+            if first[2] not in self.rep:
+                self.rep[first[2]], queue = (first, tuple(range(self.ppl.n))), [first[2]]
+                for plane in queue:
+                    t = self.rep[plane][1]
+                    for g in self.gens:
+                        image = permute_mask(g, plane)
+                        if image not in self.rep:
+                            self.rep[image] = (first, tuple(g[x] for x in t))
+                            queue.append(image)
+
+    def _stabilizer(self, p1: int, p2: int, plane: int) -> list[int]:
+        fixed = {a: a for a in mask_bits(plane)}
+        rec = _Orbits(self.ppl.n, [g for g in self.gens if all(g[a] == a for a in fixed)])
+        try:
+            for x, cand in enumerate(_pinned(self.colours, fixed)):
+                for y in mask_bits(cand >> x + 1 << x + 1 & ~plane):
+                    if not rec.cls[x] >> y & 1:
+                        rec.probe(self.ppl, {x: y, **fixed}, x, y, self.b, self.colours)
+        except BudgetExceededError as exc:
+            exc.plane = (p1, p2)
+            raise
+        return rec.cls
+
+    def witness(self, p: int, q: int, j: int) -> PlaneWitness:
+        """The first symmetry fixing plane j and mapping p to q: one probe if p ≠ q."""
+        p1, p2, plane = self.planes[j]
+        pins = {p: q, **{a: a for a in mask_bits(plane)}}
+        try:
+            perm = tuple(range(self.ppl.n)) if p == q else next(
+                _backtrack(self.ppl, pins, _Budget(self.budget), self.colours), None)
+        except BudgetExceededError as exc:
+            exc.query, exc.plane = (p, q), (p1, p2)
+            raise
+        if perm is None:
+            raise InvariantViolationError(
+                f"no symmetry maps atom {p} to atom {q} fixing the plane of {p1} and {p2}")
+        return PlaneWitness(p, q, p1, p2, Symmetry(perm))
 
 
 def find_plane_symmetry(ppl: PPL, p: int, q: int,
                         budget: int | None = DEFAULT_BUDGET) -> PlaneWitness | None:
     """First plane witness mapping p to q, scanning planes in canonical order.
 
-    The budget is shared across all candidate planes of this (p, q) query.
     None means no witness exists; an exhausted budget raises instead.
     """
-    n = ppl.n
-    if not (0 <= p < n and 0 <= q < n):
+    if not (0 <= p < ppl.n and 0 <= q < ppl.n):
         raise ValueError("atoms out of range")
-    planes = _planes(ppl)
-    return _plane_search(ppl, p, q, _Budget(budget), _atom_signatures(ppl, planes), planes, {})
-
-
-def _planes(ppl: PPL) -> list[tuple[int, int, int]]:
-    """(p1, p2, join of {p1} and {p2}) for every atom pair p1 < p2, in scan order."""
-    n = ppl.n
-    return [(p1, p2, ppl.join_mask((1 << p1) | (1 << p2)))
-            for p1 in range(n) for p2 in range(p1 + 1, n)]
-
-
-def _plane_search(ppl: PPL, p: int, q: int, b: _Budget, colours: _Colours,
-                  planes: list[tuple[int, int, int]],
-                  orbits: dict[int, _Orbits]) -> PlaneWitness | None:
-    """First plane witness for (p, q), probing the planes in scan order.
-
-    ``orbits`` maps a plane's mask to the orbit record of its pointwise
-    stabilizer; callers share it across queries, and a plane whose record
-    holds p and q apart is skipped without a search.
-    """
-    for p1, p2, plane in planes:
-        if p != q and (plane >> p | plane >> q) & 1:
-            continue  # a fixed atom cannot move, nor be the image of another
-        rec = orbits.get(plane)
-        if rec is None:
-            rec = orbits[plane] = _Orbits(ppl.n)
-        pins = {a: a for a in mask_bits(plane)}
-        pins[p] = q
-        try:
-            perm = rec.probe(ppl, pins, p, q, b, colours)
-        except BudgetExceededError as exc:
-            exc.plane = (p1, p2)
-            raise
-        if perm is not None:
-            return PlaneWitness(p=p, q=q, p1=p1, p2=p2, f=Symmetry(perm))
-    return None
+    table = _PlaneOrbits(ppl, budget)
+    j = (0 if table.planes else None) if p == q else table.first_planes(p, 1 << q)[0].get(q)
+    return None if j is None else table.witness(p, q, j)
 
 
 def verify_plane_witness(ppl: PPL, w: PlaneWitness) -> str | None:
@@ -415,32 +317,25 @@ def verify_plane_witness(ppl: PPL, w: PlaneWitness) -> str | None:
     return None
 
 
-def is_plane_transitive(ppl: PPL, budget: int | None = DEFAULT_BUDGET) -> PlaneTransitivityReport:
-    """Search a plane witness for every ordered atom pair (fresh budget each).
-
-    The pair-join colouring, the plane masks and one orbit record per plane
-    are shared by all pairs: the witness for (p, q) found in a plane
-    fixes that plane pointwise, so its cycles lie in orbits of the
-    plane's stabilizer, and a failed probe there rules out every pair
-    from the two classes.  Fewer than two atoms cannot host a plane, so
-    such ppl's are reported as not plane transitive with a note.
-    """
+def is_plane_transitive(ppl: PPL, budget: int | None = DEFAULT_BUDGET, *,
+                        witnesses: bool = True) -> PlaneTransitivityReport:
+    """Does every ordered atom pair have a plane witness?  The verdict and
+    the first pair without one come from :class:`_PlaneOrbits`; ``witnesses``
+    adds each pair's.  Fewer than two atoms host no plane, and get a note."""
     n = ppl.n
     if n < 2:
         return PlaneTransitivityReport(
             False, failing_pair=(0, 0) if n else None,
             note="fewer than two atoms: no plane exists")
-    planes = _planes(ppl)
-    colours = _atom_signatures(ppl, planes)
-    orbits: dict[int, _Orbits] = {}
-    witnesses = []
+    table, first = _PlaneOrbits(ppl, budget), []
     for p in range(n):
-        for q in range(n):
-            w = _plane_search(ppl, p, q, _Budget(budget), colours, planes, orbits)
-            if w is None:
-                return PlaneTransitivityReport(False, failing_pair=(p, q))
-            witnesses.append(w)
-    return PlaneTransitivityReport(True, witnesses=tuple(witnesses))
+        found, left = table.first_planes(p, (1 << n) - 1 ^ 1 << p)
+        if left:
+            return PlaneTransitivityReport(False, failing_pair=(p, next(mask_bits(left))))
+        first.append(found)
+    return PlaneTransitivityReport(True, witnesses=tuple(
+        table.witness(p, q, first[p].get(q, 0)) for p in range(n) for q in range(n)
+    ) if witnesses else None)
 
 
 def product_plane_witness(w1: PlaneWitness, w2: PlaneWitness, product: PPL) -> PlaneWitness:

@@ -341,6 +341,37 @@ def all_symmetries(orth: dict[int, set[int]],
             if is_symmetry_perm(orth, family, perm)]
 
 
+def symmetries_by_extension(orth: dict[int, set[int]],
+                            family: set[frozenset[int]]) -> list[tuple[int, ...]]:
+    """:func:`all_symmetries` where n! is out of reach: permutations are
+    built atom by atom, in lexicographic order, and a prefix is dropped as
+    soon as two of its atoms lose or gain orthogonality, or a member of
+    the family within its atoms leaves the family; every complete
+    permutation is then checked in full."""
+    n = len(orth)
+    by_top: dict[int, list[frozenset[int]]] = {}
+    for m in family:
+        if m:
+            by_top.setdefault(max(m), []).append(m)
+    out: list[tuple[int, ...]] = []
+
+    def extend(perm: list[int]) -> None:
+        k = len(perm)
+        if k == n:
+            if is_symmetry_perm(orth, family, tuple(perm)):
+                out.append(tuple(perm))
+            return
+        for b in range(n):
+            if b in perm or any((a in orth[k]) != (perm[a] in orth[b]) for a in range(k)):
+                continue
+            longer = perm + [b]
+            if all(frozenset(longer[a] for a in m) in family for m in by_top.get(k, ())):
+                extend(longer)
+
+    extend([])
+    return out
+
+
 def plane_atoms(family: set[frozenset[int]], p1: int, p2: int) -> frozenset[int]:
     """Atoms inside the plane spanned by two atoms: the join of their
     singletons, as a set of states."""
@@ -349,17 +380,20 @@ def plane_atoms(family: set[frozenset[int]], p1: int, p2: int) -> frozenset[int]
 
 def first_plane_witness(orth: dict[int, set[int]],
                         family: set[frozenset[int]],
-                        p: int, q: int) -> Optional[tuple[int, int, tuple[int, ...]]]:
+                        p: int, q: int,
+                        group: Optional[list[tuple[int, ...]]] = None,
+                        ) -> Optional[tuple[int, int, tuple[int, ...]]]:
     """(p1, p2, perm) of the first plane witness sending p to q: the first
     atom pair p1 < p2 in lexicographic order whose plane some symmetry
     fixes atom by atom while sending p to q, and the lexicographically
     least such symmetry, by scanning every atom pair and every
-    permutation."""
+    permutation.  ``group``, when given, is scanned instead of every
+    permutation: all the symmetries, in lexicographic order."""
     n = len(orth)
     for p1 in range(n):
         for p2 in range(p1 + 1, n):
             fixed = plane_atoms(family, p1, p2)
-            for perm in itertools.permutations(range(n)):
+            for perm in itertools.permutations(range(n)) if group is None else group:
                 if perm[p] != q:
                     continue
                 if any(perm[r] != r for r in fixed):
@@ -371,19 +405,22 @@ def first_plane_witness(orth: dict[int, set[int]],
 
 def exists_plane_symmetry(orth: dict[int, set[int]],
                           family: set[frozenset[int]],
-                          p: int, q: int) -> Optional[tuple[int, ...]]:
+                          p: int, q: int,
+                          group: Optional[list[tuple[int, ...]]] = None,
+                          ) -> Optional[tuple[int, ...]]:
     """A symmetry sending p to q while fixing some plane pointwise: the
     permutation of :func:`first_plane_witness`."""
-    w = first_plane_witness(orth, family, p, q)
+    w = first_plane_witness(orth, family, p, q, group)
     return None if w is None else w[2]
 
 
 def is_plane_transitive_brute(orth: dict[int, set[int]],
-                              family: set[frozenset[int]]) -> bool:
+                              family: set[frozenset[int]],
+                              group: Optional[list[tuple[int, ...]]] = None) -> bool:
     n = len(orth)
     if n < 2:
         return False
-    return all(exists_plane_symmetry(orth, family, p, q) is not None
+    return all(exists_plane_symmetry(orth, family, p, q, group) is not None
                for p in range(n) for q in range(n))
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 import orthlab as O
-from orthlab import cli, errors
+from orthlab import cli, errors, symmetry
 from orthlab.cli import main
 from orthlab.search import TARGETS
 from orthlab.statespace import CheckResult, ValidationReport
@@ -192,10 +192,21 @@ def test_plane_positive_with_witnesses(run):
 def test_plane_budget_exhaustion(run):
     code, _, err = run("plane", "gen:boolean:4", "--budget", "2")
     assert code == 3
-    # the first pair, a -> a, spends its two nodes in the first plane, {a, b};
-    # the atoms are named by label, as on stdout
+    # the group's probes come first and share the budget: the level-1 probe
+    # b -> c runs out, before any plane is probed; the atoms are named by
+    # label, as on stdout
     assert err == ("error\tsearch budget exhausted after 3 node expansions"
-                   " mapping atom a to atom a with the plane of atoms a and b fixed\n")
+                   " mapping atom b to atom c\n")
+
+
+def test_plane_budget_error_names_the_plane_by_label(run, monkeypatch):
+    # with no generators every plane is the first of its orbit and gets
+    # stabilizer probes, so the budget runs out in one, which fixes a plane
+    monkeypatch.setattr(symmetry, "_group", lambda ppl, b, colours: (1, []))
+    code, _, err = run("plane", "gen:boolean:4", "--budget", "2")
+    assert code == 3
+    assert err == ("error\tsearch budget exhausted after 3 node expansions"
+                   " mapping atom a to atom b with the plane of atoms c and d fixed\n")
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +230,7 @@ def test_symmetry_budget_flag(run):
     assert run("symmetries", "gen:mo:3", "--budget", "5")[0] == 3
     code, _, err = run("symmetries", "gen:mo:3", "--count-only", "--budget", "5")
     assert code == 3
-    assert err.endswith(" mapping atom a3 to atom b3\n")  # labels, not indices
+    assert err.endswith(" mapping atom a2 to atom a3\n")  # labels, not indices
 
 
 def test_symmetry_budget_env_var(run, monkeypatch):

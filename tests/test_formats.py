@@ -5,8 +5,11 @@ import random
 import pytest
 
 import orthlab as O
+from orthlab import formats
+from orthlab.cli import load_source
 from orthlab.errors import InvalidInstanceError, ParseError
 from orthlab.formats import (
+    _tokenize,
     format_atom_set,
     parse_ppl,
     parse_statespace,
@@ -209,3 +212,37 @@ def test_sniff_format():
     assert sniff_format("search v1\n") == "search"
     with pytest.raises(ParseError):
         sniff_format("   # only a comment\n")
+
+
+def test_sniff_format_reads_the_word_the_tokenizer_would():
+    # leading blank and comment lines, every line break str.splitlines
+    # knows, and whitespace that str.split skips; an empty document raises
+    pieces = ["", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", " ", " ", "\t",
+              "# c\n", "#x", "##", "a#b", "ppl", " v1", "statespace"]
+    rng = random.Random(3)
+    for _ in range(5000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randrange(7)))
+        words = [toks[0][0] for toks in _tokenize(text)]
+        if words:
+            assert sniff_format(text) == words[0], repr(text)
+        else:
+            with pytest.raises(ParseError, match="^empty document$"):
+                sniff_format(text)
+
+
+@pytest.mark.parametrize("text", [
+    serialize_ppl(O.property_lattice(O.mo_lantern(2))),
+    "\n# a statespace\n\n" + serialize_statespace(O.boolean_space(3)),
+])
+def test_load_source_tokenizes_once(monkeypatch, tmp_path, text):
+    calls = []
+
+    def counting(text):
+        calls.append(len(text))
+        return _tokenize(text)
+
+    monkeypatch.setattr(formats, "_tokenize", counting)
+    path = tmp_path / "doc.txt"
+    path.write_text(text)
+    assert load_source(str(path)).n in (3, 4)
+    assert calls == [len(text)]

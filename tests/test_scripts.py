@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from orthlab.errors import CapacityError
+from orthlab.products import separated_product
 from orthlab.search import TARGETS
 from orthlab.symmetry import count_symmetries
 
@@ -81,6 +83,30 @@ def test_survey_prints_unknown_when_a_budget_runs_out(mo3_ppl):
     script = _load_script("survey_catalog.py")
     assert script.unless_budget(lambda: count_symmetries(mo3_ppl, budget=1)) == "unknown"
     assert script.unless_budget(lambda: count_symmetries(mo3_ppl)) == "48"
+
+
+def test_survey_prints_unknown_cells_for_a_product_over_the_family_cap(monkeypatch, capsys):
+    script = _load_script("survey_catalog.py")
+
+    def capped(ss1, ss2):  # stands in for a family cap of fewer sets than these have
+        if ss1.n * ss2.n == 8:
+            raise CapacityError("closure family exceeds cap of 1000000 sets")
+        return separated_product(ss1, ss2)
+
+    monkeypatch.setattr(script, "separated_product", capped)
+    monkeypatch.setattr(sys, "argv", ["survey_catalog.py", "--boolean-max", "2", "--lantern-max",
+                                      "2", "--products", "--product-atoms", "8"])
+    assert script.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    products = lines[lines.index("") + 1:]
+    assert len(products) == 2 * 8  # every pair of at most 8 atoms, both products
+    unknown = [line for line in products if "=unknown" in line]
+    assert unknown == [
+        f"separated({pair})\tatoms=8\telements=unknown\toc=unknown\tom=unknown"
+        "\tcovering=unknown\tboolean=unknown\tirreducible=unknown\tsymmetries=unknown"
+        "\tplane-transitive=unknown" for pair in ("boolean:2,mo:2", "mo:2,boolean:2")]
+    for line in products:
+        assert line in unknown or PRODUCT_LINE.fullmatch(line), line
 
 
 def test_mine_counterexamples_small_run():

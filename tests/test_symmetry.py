@@ -24,7 +24,7 @@ from orthlab.symmetry import (
 )
 from orthlab import symmetry as S
 from orthlab.bitset import mask_bits
-from orthlab.symmetry import _atom_signatures, _backtrack, _Budget, _Orbits
+from orthlab.symmetry import _atom_signatures, _backtrack, _Budget, _Orbits, _PlaneOrbits
 
 import oracles as ora
 
@@ -255,6 +255,50 @@ def test_minimal_square_of_boolean4_is_plane_transitive(b4_ppl):
         assert verify_plane_witness(prod, w) is None
 
 
+def test_plane_search_calls_on_the_minimal_square_of_boolean4(probes, b4_ppl):
+    # the group and the stabilizer tables take a few dozen probes for all 256 pairs
+    prod = O.minimal_product(b4_ppl, b4_ppl)
+    assert is_plane_transitive(prod, witnesses=False).transitive
+    assert len(probes) <= 56
+    probes.clear()
+    assert len(is_plane_transitive(prod).witnesses) == 256
+    assert len(probes) <= 56 + 240  # and one probe per pair p != q
+
+
+def test_plane_tables_match_the_oracles_where_planes_are_moved():
+    # the first plane of an orbit and the others differ, so reading a
+    # plane's stabilizer orbits off its orbit's first plane needs the
+    # transporter: minimal(boolean:4, boolean:2) fails at (0, 1) only after
+    # planes of several orbits, separated(boolean:3, mo:2) holds
+    b4, b2, b3 = (O.property_lattice(O.boolean_space(n)) for n in (4, 2, 3))
+    ppls = [O.minimal_product(b4, b2),
+            O.property_lattice(O.separated_product(O.boolean_space(3), O.mo_lantern(2)))]
+    ppls += [O.property_lattice(O.random_space(n, 0.5, seed))
+             for n in (5, 6) for seed in range(6)]
+    verdicts = []
+    for ppl in ppls:
+        orth, fam = _orth_and_family(ppl)
+        group = ora.symmetries_by_extension(orth, fam)
+        transitive = ora.is_plane_transitive_brute(orth, fam, group)
+        verdicts.append(transitive)
+        report = is_plane_transitive(ppl)
+        verdict = is_plane_transitive(ppl, witnesses=False)
+        assert report.transitive == verdict.transitive == transitive
+        assert report.failing_pair == verdict.failing_pair
+        pairs = [(p, q) for p in range(ppl.n) for q in range(ppl.n)]
+        found = {pq: find_plane_symmetry(ppl, *pq) for pq in pairs}
+        for pq in pairs:
+            expected = ora.exists_plane_symmetry(orth, fam, *pq, group)
+            assert (found[pq] and found[pq].f.perm) == expected
+            if expected is None:
+                break  # the first pair without a witness ends both searches
+        if transitive:
+            assert list(report.witnesses) == [found[pq] for pq in pairs]
+        else:
+            assert report.failing_pair == pq
+    assert verdicts[:2] == [False, True] and False in verdicts[2:]
+
+
 def test_find_plane_symmetry_range_check(b3_ppl):
     with pytest.raises(ValueError):
         find_plane_symmetry(b3_ppl, 0, 3)
@@ -301,10 +345,42 @@ def test_single_atom_space_hosts_no_plane(b1_ppl):
 
 
 def test_plane_search_budget(b4_ppl):
+    # the group's probes come first and share the budget: the level-1
+    # probe 1 -> 2 runs out before any plane is probed
     with pytest.raises(BudgetExceededError) as info:
         is_plane_transitive(b4_ppl, budget=2)
-    assert info.value.query == (0, 0)
-    assert info.value.plane == (0, 1)
+    assert info.value.query == (1, 2)
+    assert info.value.plane is None
+
+
+def test_plane_budget_is_shared_by_the_tables_and_fresh_for_each_witness():
+    ppl = O.property_lattice(O.boolean_space(5))
+    table = _PlaneOrbits(ppl, None)
+    assert table.first_planes(0, 0b11110)[1] == 0
+    spent = table.b.spent  # the group and stabilizer probes, together
+    assert spent == 10
+    witness_nodes = []
+    for p in range(5):
+        for q, j in table.first_planes(p, 0b11111 ^ 1 << p)[0].items():
+            b = _Budget(None)
+            p1, p2, plane = table.planes[j]
+            next(_backtrack(ppl, {**{a: a for a in mask_bits(plane)}, p: q}, b, table.colours))
+            witness_nodes.append(b.spent)
+    assert max(witness_nodes) <= spent < sum(witness_nodes)
+    assert len(is_plane_transitive(ppl, budget=spent).witnesses) == 25
+    with pytest.raises(BudgetExceededError) as info:
+        is_plane_transitive(ppl, budget=spent - 1, witnesses=False)
+    assert info.value.plane is None
+    # a witness probe names its pair and its plane
+    with pytest.raises(BudgetExceededError) as info:
+        _PlaneOrbits(ppl, 1).witness(0, 1, 7)
+    assert (info.value.query, info.value.plane) == ((0, 1), (2, 3))
+    # a stabilizer probe names its plane: unseeded, the plane {a, b} needs them
+    table = _PlaneOrbits(ppl, 1)
+    table.gens = []
+    with pytest.raises(BudgetExceededError) as info:
+        table._stabilizer(*table.planes[0])
+    assert (info.value.query, info.value.plane) == ((2, 3), (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +523,36 @@ def test_orbit_records_skip_only_implied_probes(probes, b4_ppl, mo3_ppl, random_
     for ppl in _orbit_families(b4_ppl, mo3_ppl, random_batch):
         calls, witnesses, failing = _per_pair_plane_probes(ppl)
         probes.clear()
+        count_symmetries(ppl, budget=None)
+        group = list(probes)
+        probes.clear()
         report = is_plane_transitive(ppl, budget=None)
-        assert not Counter(probes) - Counter(calls)
+        # the tables: the group's own probes, then stabilizer probes, each
+        # pinning a whole plane and one pair x < y outside it, never twice
+        planes = {ppl.join_mask(1 << p1 | 1 << p2) for p1 in range(ppl.n)
+                  for p2 in range(p1 + 1, ppl.n)}
+        moved = [_probe_key({**{a: a for a in mask_bits(ppl.join_mask(1 << p1 | 1 << p2))},
+                             p: q}) for p, q, p1, p2, _ in witnesses if p != q]
+        tables = probes[:len(probes) - len(moved)] if report.transitive else probes
+        assert tables[:len(group)] == group or not tables
+        stabilizers = tables[len(group):]
+        for key in stabilizers:
+            fixed = sum(1 << a for a, b in key if a == b)
+            ((x, y),) = [(a, b) for a, b in key if a != b]
+            assert fixed in planes and x < y and not fixed >> x & 1
+        assert len(set(stabilizers)) == len(stabilizers)
         skipped += len(calls) - len(probes)
         assert report.failing_pair == failing
         if report.transitive:
             assert [(w.p, w.q, w.p1, w.p2, w.f.perm) for w in report.witnesses] == witnesses
+            # then one probe per witness, the per-pair scan's successful one
+            assert probes[len(tables):] == moved
+            assert len(probes) <= len(calls)
+        probes.clear()
+        verdict = is_plane_transitive(ppl, budget=None, witnesses=False)
+        assert probes == tables
+        assert (verdict.transitive, verdict.failing_pair) == (report.transitive, failing)
+        assert verdict.witnesses is None
 
         calls, order = _per_target_count_probes(ppl)
         probes.clear()
@@ -535,20 +635,26 @@ def test_meet_irreducibles_below_the_coatoms_are_checked():
 def test_pair_colours_are_kept_by_every_symmetry(mo3_ppl, random_batch):
     ppls = [mo3_ppl] + [O.property_lattice(ss) for ss in random_batch if ss.n <= 5]
     for ppl in ppls + _small_products() + _random_families():
-        sigs, rows = _atom_signatures(ppl)
+        colour, parts, alike = _atom_signatures(ppl)
         n = ppl.n
-        colour = {}
+        orth, fam = _orth_and_family(ppl)
+        named = {}  # colour number -> (a ⊥ b, |join{a, b}|)
         for a in range(n):
-            seen = 1 << a
-            for c, row in enumerate(rows[a]):
-                assert not row & seen  # the colour classes are disjoint
-                seen |= row
-                colour.update(((a, b), c) for b in mask_bits(row))
-            # the class left out of the rows: every other atom
-            colour.update(((a, b), -1) for b in mask_bits((1 << n) - 1 & ~seen))
-        for f in ora.all_symmetries(*_orth_and_family(ppl)):
-            assert all(sigs[a] == sigs[f[a]] for a in range(n))
-            assert all(c == colour[f[a], f[b]] for (a, b), c in colour.items())
+            assert colour[a][a] == 0 and parts[a][0] == 1 << a and alike[a] >> a & 1
+            seen = 0
+            for c, part in enumerate(parts[a]):
+                assert not part & seen  # the colour classes are disjoint
+                seen |= part
+                assert all(colour[a][b] == c for b in mask_bits(part))
+            assert seen == (1 << n) - 1  # and cover every atom, the largest class too
+            for b in range(n):
+                if b != a:
+                    key = (b in orth[a], len(ora.family_join(fam, frozenset([a]), frozenset([b]))))
+                    assert named.setdefault(colour[a][b], key) == key
+        assert len(set(named.values())) == len(named)
+        for f in ora.all_symmetries(orth, fam):
+            assert all(alike[a] >> f[a] & 1 for a in range(n))
+            assert all(colour[a][b] == colour[f[a]][f[b]] for a in range(n) for b in range(n))
 
 
 # ---------------------------------------------------------------------------
