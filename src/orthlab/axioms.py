@@ -63,11 +63,6 @@ class Orthocomplementation:
         cs = self.ppl.cs
         return cs._index[self.ppl.orth.perp_mask(cs.masks[i])]
 
-    @property
-    def mapping(self) -> tuple[int, ...]:
-        """The image of every element id, in id order."""
-        return tuple(map(self, range(len(self.ppl.cs))))
-
 
 def _timed(axiom: str, holds: bool, cert: Certificate | None, checked: int,
            t0: float) -> AxiomReport:

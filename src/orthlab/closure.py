@@ -120,24 +120,14 @@ class ClosureSystem:
     def __len__(self) -> int:
         return len(self.masks)
 
-    def __contains__(self, item) -> bool:
-        mask = item.bits if isinstance(item, AtomSet) else item
+    def __contains__(self, mask: int) -> bool:
         return mask in self._index
 
-    def id_of(self, item) -> int:
-        mask = item.bits if isinstance(item, AtomSet) else item
+    def id_of(self, mask: int) -> int:
         return self._index[mask]
 
     def element(self, i: int) -> LatticeElement:
         return LatticeElement(i, AtomSet(self.masks[i], self.n))
-
-    @property
-    def bottom_id(self) -> int:
-        return 0
-
-    @property
-    def top_id(self) -> int:
-        return len(self.masks) - 1
 
     # -- lattice operations -----------------------------------------------
 
@@ -207,10 +197,6 @@ class ClosureSystem:
         masks = self.masks
         return {k for k, rs in reach.items() if rs == masks[k] & ~a}
 
-    def covers(self, a: LatticeElement, b: LatticeElement) -> bool:
-        """True iff ``b`` covers ``a``: a < b with nothing strictly between."""
-        return self.id_of(b.atoms) in self.upper_covers(a.atoms.bits)
-
     def lattice_atoms(self) -> list[LatticeElement]:
         """Elements covering the bottom element (the order-theoretic atoms)."""
         return [self.element(i) for i in sorted(self.upper_covers(self.masks[0]))]
@@ -240,25 +226,18 @@ class ClosureSystem:
         return None
 
 
-def meet_closure(generators: Sequence[AtomSet], n: int, *,
+def meet_closure(masks: Iterable[int], n: int, *,
                  max_family: int = DEFAULT_FAMILY_CAP) -> ClosureSystem:
-    """Smallest intersection-closed family containing ``generators`` and the full set.
+    """Smallest intersection-closed family containing ``masks`` and the full set.
 
-    Generators are folded in one at a time; after step k the family holds
-    every intersection of a subset of the first k generators (plus the full
-    set), which is exactly the generated family and costs O(len(result))
-    work per generator instead of a 2**n scan.
+    After folding in k masks the family holds every intersection of a subset
+    of them (plus the full set), at O(len(result)) work per mask.
     """
-    for g in generators:
-        if g.n != n:
-            raise ValueError(f"generator universe {g.n} does not match n={n}")
-    return _meet_closure_masks([g.bits for g in generators], n, max_family=max_family)
-
-
-def _meet_closure_masks(gen_masks: Iterable[int], n: int, *,
-                        max_family: int = DEFAULT_FAMILY_CAP) -> ClosureSystem:
-    family = {(1 << n) - 1}
-    for g in gen_masks:
+    full = (1 << n) - 1
+    family = {full}
+    for g in masks:
+        if g & ~full:
+            raise ValueError(f"mask 0x{g:x} out of range for n={n}")
         family |= {m & g for m in family}
         if len(family) > max_family:
             raise CapacityError(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import io
 
-from .bitset import AtomSet, mask_bits
+from .bitset import mask_bits
 from .closure import ClosureSystem
 from .errors import InvalidInstanceError, ParseError
 from .statespace import (PPL, OrthoRelation, StateSpace, is_biorthogonal_family,

@@ -18,10 +18,6 @@ from .errors import CapacityError, InvariantViolationError
 from .statespace import PPL, OrthoRelation, StateSpace, validate_state_space
 
 
-def pair_index(i: int, j: int, n2: int) -> int:
-    return i * n2 + j
-
-
 def pair_labels(labels1: tuple[str, ...], labels2: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(f"({a},{b})" for a in labels1 for b in labels2)
 
@@ -40,23 +36,6 @@ def cylinder2_mask(mask2: int, n1: int, n2: int) -> int:
     out = 0
     for i in range(n1):
         out |= mask2 << (i * n2)
-    return out
-
-
-def project1_mask(mask: int, n1: int, n2: int) -> int:
-    ones2 = (1 << n2) - 1
-    out = 0
-    for i in range(n1):
-        if (mask >> (i * n2)) & ones2:
-            out |= 1 << i
-    return out
-
-
-def project2_mask(mask: int, n1: int, n2: int) -> int:
-    ones2 = (1 << n2) - 1
-    out = 0
-    for i in range(n1):
-        out |= (mask >> (i * n2)) & ones2
     return out
 
 

@@ -3,9 +3,9 @@
 A state space is a finite set of states with a binary orthogonality
 relation that is antireflexive, symmetric, and point-separating: for
 distinct p, q there is some r orthogonal to p but not to q.  The perp of
-a subset A is the set of states orthogonal to everything in A, and the
-subsets fixed by double perp form the property lattice, an
-intersection-closed T1 family.
+a subset A is the set of states orthogonal to everything in A
+(:meth:`OrthoRelation.perp_mask`), and the subsets fixed by double perp
+form the property lattice, an intersection-closed T1 family.
 
 A :class:`PPL` bundles a T1 closure system with an orthogonality on its
 atoms; property lattices are the canonical examples, but product
@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .bitset import AtomSet, mask_bits
-from .closure import DEFAULT_FAMILY_CAP, ClosureSystem, _meet_closure_masks
+from .bitset import mask_bits
+from .closure import DEFAULT_FAMILY_CAP, ClosureSystem, meet_closure
 from .errors import CapacityError, InvalidInstanceError
 
 
@@ -167,21 +167,6 @@ def validate_state_space(ss: StateSpace) -> ValidationReport:
     return ValidationReport(ss.orth.checks)
 
 
-def perp(ss: StateSpace, a: AtomSet) -> AtomSet:
-    """States orthogonal to every state in ``a`` (perp of the empty set is everything)."""
-    if a.n != ss.n:
-        raise ValueError("subset universe does not match state space")
-    return AtomSet(ss.orth.perp_mask(a.bits), ss.n)
-
-
-def biorthogonal_closure(ss: StateSpace, a: AtomSet) -> AtomSet:
-    """Double perp of ``a``: the smallest biorthogonally closed superset."""
-    if a.n != ss.n:
-        raise ValueError("subset universe does not match state space")
-    o = ss.orth
-    return AtomSet(o.perp_mask(o.perp_mask(a.bits)), ss.n)
-
-
 @dataclass(frozen=True)
 class PPL:
     """A T1 closure system with an orthogonality on its atoms.
@@ -238,7 +223,7 @@ def is_biorthogonal_family(cs: ClosureSystem, orth: OrthoRelation) -> bool:
     is.
     """
     try:
-        closed = _meet_closure_masks(orth.rows, orth.n, max_family=len(cs))
+        closed = meet_closure(orth.rows, orth.n, max_family=len(cs))
     except CapacityError:
         return False
     return closed.masks == cs.masks
@@ -260,5 +245,5 @@ def property_lattice(ss: StateSpace, *, max_family: int = DEFAULT_FAMILY_CAP) ->
     """
     ss.require_valid()
     o = ss.orth
-    cs = _meet_closure_masks(o.rows, o.n, max_family=max_family)
+    cs = meet_closure(o.rows, o.n, max_family=max_family)
     return PPL(cs=cs, orth=o, labels=ss.labels, biorthogonal=True)

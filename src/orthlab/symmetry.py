@@ -14,9 +14,10 @@ first plane R of each gets probes, and t(R) moves R's stabilizer orbits by
 t, as Stab(t(R)) = t·Stab(R)·t⁻¹ (:class:`_PlaneOrbits`).  These tables give
 the verdict and the first pair without a witness.  A witness costs one
 probe, in the first plane whose orbits join p and q, and none for p = q:
-the identity in the first plane; ``witnesses=False`` builds none.  Running
-out of budget raises :class:`BudgetExceededError`, an "unknown" outcome;
-the group and the tables share one budget, each witness probe has its own.
+the identity in the first plane; ``witnesses=False`` builds none.  Group
+transitivity is atom 0's class under S.  Running out of budget raises
+:class:`BudgetExceededError`, an "unknown" outcome; the group, the tables
+and group transitivity share one budget, each witness probe has its own.
 """
 
 from __future__ import annotations
@@ -41,9 +42,6 @@ class Symmetry:
 
     def __call__(self, atom: int) -> int:
         return self.perm[atom]
-
-    def image_mask(self, mask: int) -> int:
-        return permute_mask(self.perm, mask)
 
 
 @dataclass(frozen=True)
@@ -95,10 +93,6 @@ def symmetry_failure(ppl: PPL, perm: Sequence[int]) -> SymmetryDefect | None:
     if bad is not None:
         return SymmetryDefect("closed-set", mask=bad)
     return None
-
-
-def is_symmetry(ppl: PPL, perm: Sequence[int]) -> bool:
-    return symmetry_failure(ppl, perm) is None
 
 
 class _Orbits:
@@ -369,16 +363,8 @@ def is_group_transitive(ppl: PPL, budget: int | None = DEFAULT_BUDGET) -> bool:
     """Can every atom be carried to every other by some symmetry?
 
     The symmetries form a group, so this holds exactly when the orbit of
-    atom 0 is every atom.  Each q not yet in 0's class gets its own
-    budgeted search for any symmetry with perm[0] = q (no plane
-    constraint), and each symmetry found joins the classes along its
-    cycles.
+    atom 0 is every atom: the class of 0 under the strong generating set
+    of :func:`_group`, whose probes share one budget.
     """
-    colours = _atom_signatures(ppl)
-    orbits = _Orbits(ppl.n)
-    for q in range(1, ppl.n):
-        if orbits.cls[0] >> q & 1:
-            continue
-        if orbits.probe(ppl, {0: q}, 0, q, _Budget(budget), colours) is None:
-            return False
-    return True
+    gens = _group(ppl, _Budget(budget), _atom_signatures(ppl))[1]
+    return _Orbits(ppl.n, gens).cls[0] == (1 << ppl.n) - 1

@@ -460,6 +460,12 @@ def cylinders(family1: set[frozenset[int]], family2: set[frozenset[int]],
     return out
 
 
+def projections(pairs: Iterable[tuple[int, int]]) -> tuple[frozenset[int], frozenset[int]]:
+    """The first coordinates and the second coordinates of a set of pairs."""
+    pairs = list(pairs)
+    return frozenset(a for a, _ in pairs), frozenset(b for _, b in pairs)
+
+
 def minimal_product_family(family1: set[frozenset[int]], family2: set[frozenset[int]],
                            n1: int, n2: int) -> set[frozenset[tuple[int, int]]]:
     """The minimal product's closed sets by definition: the meet closure of the cylinders."""

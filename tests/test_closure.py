@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthlab.bitset import GROUND_CAPACITY, AtomSet, permute_mask
+from orthlab.bitset import GROUND_CAPACITY, permute_mask
 from orthlab.closure import ClosureSystem, meet_closure
 from orthlab.errors import CapacityError
 
@@ -64,14 +64,12 @@ def test_mask_out_of_range():
 # meet closure: worked examples, then oracle agreement
 
 def test_meet_closure_of_singletons():
-    gens = [AtomSet.single(i, 3) for i in range(3)]
-    cs = meet_closure(gens, 3)
+    cs = meet_closure([0b001, 0b010, 0b100], 3)
     assert cs.masks == (0b000, 0b001, 0b010, 0b100, 0b111)
 
 
 def test_meet_closure_of_two_overlapping_pairs():
-    gens = [AtomSet.of([0, 1], 3), AtomSet.of([1, 2], 3)]
-    cs = meet_closure(gens, 3)
+    cs = meet_closure([0b011, 0b110], 3)
     assert cs.masks == (0b010, 0b011, 0b110, 0b111)
 
 
@@ -80,12 +78,14 @@ def test_meet_closure_of_nothing_is_just_the_ground_set():
 
 
 def test_meet_closure_rejects_universe_mismatch():
-    with pytest.raises(ValueError):
-        meet_closure([AtomSet.single(0, 3)], 4)
+    with pytest.raises(ValueError, match="out of range"):
+        meet_closure([0b1000], 3)  # atom 3 lies outside a universe of 3
+    with pytest.raises(ValueError, match="out of range"):
+        meet_closure([-1], 3)
 
 
 def test_meet_closure_family_cap():
-    gens = [AtomSet.of(pair, 4) for pair in
+    gens = [1 << a | 1 << b for a, b in
             [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]]
     assert len(meet_closure(gens, 4)) == 12
     with pytest.raises(CapacityError):
@@ -103,7 +103,7 @@ families = st.integers(1, 6).flatmap(
 @given(families)
 def test_meet_closure_agrees_with_pairwise_saturation(case):
     n, gens = case
-    cs = meet_closure([AtomSet(g, n) for g in gens], n)
+    cs = meet_closure(gens, n)
     expected = saturate_intersections(
         {frozenset(mask_to_set(g)) for g in gens}, range(n))
     assert family_to_sets(cs.masks) == expected
@@ -116,7 +116,7 @@ def test_meet_closure_agrees_with_pairwise_saturation(case):
 @given(families, st.integers(0, 63), st.integers(0, 63))
 def test_closure_and_bounds_match_oracle(case, x, y):
     n, gens = case
-    cs = meet_closure([AtomSet(g, n) for g in gens], n)
+    cs = meet_closure(gens, n)
     full = (1 << n) - 1
     a, b = x & full, y & full
     fam = family_to_sets(cs.masks)
@@ -133,7 +133,7 @@ def test_closure_and_bounds_match_oracle(case, x, y):
 @given(families)
 def test_closure_extensions_and_covers_match_oracle_everywhere(case):
     n, gens = case
-    cs = meet_closure([AtomSet(g, n) for g in gens], n)
+    cs = meet_closure(gens, n)
     fam = family_to_sets(cs.masks)
     for x in range(1 << n):
         assert mask_to_set(cs.closure_mask(x)) == family_closure(fam, mask_to_set(x))
@@ -143,8 +143,6 @@ def test_closure_extensions_and_covers_match_oracle_everywhere(case):
         ext = cs.one_point_extensions(a)
         assert [mask_to_set(cs.masks[k]) for k in ext] == \
             [family_closure(fam, mask_to_set(a | 1 << r)) for r in range(n)]
-        for f in elements:
-            assert cs.covers(e, f) == covers(fam, mask_to_set(a), mask_to_set(f.atoms.bits))
         expected = {f.id for f in elements
                     if covers(fam, mask_to_set(a), mask_to_set(f.atoms.bits))}
         assert cs.upper_covers(a) == expected
@@ -155,7 +153,7 @@ def test_closure_extensions_and_covers_match_oracle_everywhere(case):
 def test_closure_kernel_matches_oracle_on_wide_ground_sets(n, k):
     # k random generators of density 3/4: their meet closures hold 100-260 sets
     rng = random.Random(n)
-    gens = [AtomSet(rng.getrandbits(n) | rng.getrandbits(n), n) for _ in range(k)]
+    gens = [rng.getrandbits(n) | rng.getrandbits(n) for _ in range(k)]
     cs = meet_closure(gens, n)
     m = len(cs)
     assert m > 100
@@ -176,21 +174,19 @@ def test_covers_with_non_singleton_atoms_and_a_nonempty_bottom():
     cs = ClosureSystem.from_masks(5, [0b00001, 0b00111, 0b01001, 0b01111, 0b11111])
     fam = family_to_sets(cs.masks)
     assert [e.atoms.bits for e in cs.lattice_atoms()] == [0b01001, 0b00111]
-    elements = [cs.element(i) for i in range(len(cs))]
-    for e in elements:
-        for f in elements:
-            assert cs.covers(e, f) == covers(fam, mask_to_set(e.atoms.bits),
-                                             mask_to_set(f.atoms.bits))
-    assert not cs.covers(cs.element(0), cs.element(4))
-    assert cs.covers(cs.element(3), cs.element(4))
+    for a in cs.masks:
+        assert cs.upper_covers(a) == {j for j, b in enumerate(cs.masks)
+                                      if covers(fam, mask_to_set(a), mask_to_set(b))}
+    assert 4 not in cs.upper_covers(cs.masks[0])
+    assert 4 in cs.upper_covers(cs.masks[3])
 
 
 @given(families)
 def test_atoms_and_lattice_atoms_match_oracle(case):
     n, gens = case
-    cs = meet_closure([AtomSet(g, n) for g in gens], n)
+    cs = meet_closure(gens, n)
     fam = family_to_sets(cs.masks)
-    assert {frozenset(e.atoms) for e in cs.lattice_atoms()} == covers_of_bottom(fam)
+    assert {mask_to_set(e.atoms.bits) for e in cs.lattice_atoms()} == covers_of_bottom(fam)
 
 
 def test_atoms_of_single_member_family_is_the_ground_set():
@@ -206,12 +202,16 @@ def test_atoms_vs_lattice_atoms_on_a_chain():
 
 def test_covers_in_a_boolean_cube(b3_ppl):
     cs = b3_ppl.cs
-    bot, top = cs.element(cs.bottom_id), cs.element(cs.top_id)
-    atom = cs.element(cs.id_of(0b001))
-    assert cs.covers(bot, atom)
-    assert not cs.covers(bot, top)
-    assert not cs.covers(atom, atom)
-    assert not cs.covers(top, atom)
+    bot, top, atom = 0, len(cs) - 1, cs.id_of(0b001)
+    assert cs.masks[bot] == 0 and cs.masks[top] == 0b111
+    assert atom in cs.upper_covers(cs.masks[bot])
+    assert top not in cs.upper_covers(cs.masks[bot])
+    assert atom not in cs.upper_covers(cs.masks[atom])
+    assert atom not in cs.upper_covers(cs.masks[top])
+    fam = family_to_sets(cs.masks)
+    for a in cs.masks:
+        assert {mask_to_set(cs.masks[j]) for j in cs.upper_covers(a)} == \
+            {b for b in fam if covers(fam, mask_to_set(a), b)}
 
 
 def test_element_lookup_and_iteration(b3_ppl):
@@ -221,8 +221,8 @@ def test_element_lookup_and_iteration(b3_ppl):
     e = cs.element(3)
     assert cs.id_of(e.atoms.bits) == 3
     assert e.atoms.bits in cs
-    assert cs.masks[cs.bottom_id] == 0
-    assert cs.masks[cs.top_id] == 0b111
+    assert cs.masks[0] == 0
+    assert cs.masks[-1] == 0b111
 
 
 def test_intersection_defect_reports_first_missing_pair():
@@ -263,7 +263,7 @@ def test_meet_irreducibles_decide_permutation_images(case, data):
     # permutation maps the family onto itself exactly when it maps each of
     # them into the family
     n, gens = case
-    cs = meet_closure([AtomSet(g, n) for g in gens], n)
+    cs = meet_closure(gens, n)
     fam = family_to_sets(cs.masks)
     irreducible = meet_irreducibles(fam)
     assert {mask_to_set(m) for m in cs.meet_irreducibles} == irreducible
@@ -287,7 +287,7 @@ def test_meet_irreducibles_decide_permutation_images_on_seeded_families():
         for _ in range(rng.randrange(1, 3)):
             g = rng.randrange(1 << n)
             for _ in range(n):
-                gens.append(AtomSet(g, n))
+                gens.append(g)
                 g = permute_mask(cyc, g)
         cs = meet_closure(gens, n)
         for perm in [cyc] + [tuple(rng.sample(range(n), n)) for _ in range(4)]:

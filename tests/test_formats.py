@@ -139,7 +139,7 @@ def test_ppl_biorthogonal_flag_agrees_with_oracle(random_batch, b2_ppl, b3_ppl, 
     for base in catalog[1:]:
         for _ in range(6):
             gens = [1 << p for p in range(base.n)] + [rng.getrandbits(base.n) for _ in range(2)]
-            cs = O.meet_closure([O.AtomSet(g, base.n) for g in gens], base.n)
+            cs = O.meet_closure(gens, base.n)
             ppl = O.PPL(cs, base.orth, base.labels)
             verdict = parse_ppl(serialize_ppl(ppl)).biorthogonal
             assert verdict == _double_perp_family(ppl)

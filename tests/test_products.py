@@ -7,11 +7,8 @@ from orthlab.errors import CapacityError, InvalidInstanceError
 from orthlab.products import (
     cylinder1_mask,
     cylinder2_mask,
-    pair_index,
     pair_labels,
     product_orthogonality,
-    project1_mask,
-    project2_mask,
     rectangle_family,
 )
 
@@ -30,7 +27,6 @@ def _family_pairs(masks, n2: int) -> set:
 # index plumbing
 
 def test_pair_indexing_and_labels():
-    assert pair_index(1, 2, 3) == 5
     assert pair_labels(("a", "b"), ("x", "y")) == ("(a,x)", "(a,y)", "(b,x)", "(b,y)")
 
 
@@ -42,8 +38,7 @@ def test_cylinders_and_projections():
     assert ora.mask_to_set(c2) == {1, 2, 4, 5}
     rect = c1 & c2
     assert _pairs_of(rect, 3) == {(0, 1), (0, 2)}
-    assert project1_mask(rect, 2, 3) == 0b01
-    assert project2_mask(rect, 2, 3) == 0b110
+    assert ora.projections(_pairs_of(rect, 3)) == ({0}, {1, 2})
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +152,10 @@ def test_minimal_product_family_is_the_rectangle_family(name1, name2, request):
 
 def test_projections_of_closed_sets_are_closed(mo2_ppl, b3_ppl):
     prod = O.minimal_product(mo2_ppl, b3_ppl)
-    n1, n2 = mo2_ppl.n, b3_ppl.n
+    fam1, fam2 = ora.family_to_sets(mo2_ppl.cs.masks), ora.family_to_sets(b3_ppl.cs.masks)
     for m in prod.cs.masks:
         if m == 0:
             continue
-        assert project1_mask(m, n1, n2) in mo2_ppl.cs
-        assert project2_mask(m, n1, n2) in b3_ppl.cs
+        first, second = ora.projections(_pairs_of(m, b3_ppl.n))
+        assert first in fam1
+        assert second in fam2

@@ -120,6 +120,22 @@ def test_mine_counterexamples_small_run():
         assert match.groups()[:3] == (target, "30", "0")
 
 
+@pytest.mark.parametrize("args, code, error", [
+    # seed 36 draws a 7-state factor pair whose separated product's property
+    # lattice exceeds the family cap
+    (("--nmax", "7", "--count", "1", "--seed", "36",
+      "--target", "separated-orthomodular-nonboolean"),
+     3, "error\tclosure family exceeds cap of 1000000 sets"),
+    (("--count", "-1"), 2, "error\tcount must be >= 0 and nmax >= 1"),
+], ids=["family-cap", "invalid-count"])
+def test_mine_counterexamples_errors_exit_like_the_cli(args, code, error):
+    proc = _run_script("mine_counterexamples.py", *args)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.splitlines() == [error]
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("full_report", [False, True])
 def test_mine_counterexamples_prints_hits_as_report_lines(monkeypatch, capsys, full_report):
     script = _load_script("mine_counterexamples.py")

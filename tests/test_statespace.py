@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orthlab as O
-from orthlab.bitset import AtomSet
 from orthlab.errors import CapacityError, InvalidInstanceError, InvariantViolationError
 from orthlab.statespace import OrthoRelation, PPL, StateSpace, is_biorthogonal_family
 
@@ -76,16 +75,12 @@ def test_state_space_shape_checks():
 
 def test_perp_worked_example(mo2):
     # lantern pairs: a1-b1, a2-b2
-    a1 = AtomSet.single(0, 4)
-    assert O.perp(mo2, a1) == AtomSet.of([2], 4)
-    assert O.perp(mo2, AtomSet.of([0, 1], 4)) == AtomSet.empty(4)
-    assert O.perp(mo2, AtomSet.empty(4)) == AtomSet.full(4)
-    assert O.biorthogonal_closure(mo2, a1) == a1
-
-
-def test_perp_universe_mismatch(mo2):
-    with pytest.raises(ValueError):
-        O.perp(mo2, AtomSet.empty(3))
+    perp = mo2.orth.perp_mask
+    a1 = 0b0001
+    assert perp(a1) == 0b0100
+    assert perp(0b0011) == 0
+    assert perp(0) == 0b1111
+    assert perp(perp(a1)) == a1
 
 
 @given(st.integers(1, 8), st.sampled_from((0.3, 0.5, 0.7)),
@@ -94,18 +89,22 @@ def test_perp_universe_mismatch(mo2):
 @settings(max_examples=60, deadline=None)
 def test_galois_laws(n, density, seed, xbits, ybits):
     ss = O.random_space(n, density, seed)
+    perp = ss.orth.perp_mask
     full = (1 << n) - 1
-    x, y = AtomSet(xbits & full, n), AtomSet((xbits | ybits) & full, n)
+    x, y = xbits & full, (xbits | ybits) & full
     # x <= y, so perp is antitone and double perp is a closure operator
-    assert O.perp(ss, y).issubset(O.perp(ss, x))
-    cx = O.biorthogonal_closure(ss, x)
-    assert x.issubset(cx)
-    assert O.biorthogonal_closure(ss, cx) == cx
-    assert O.perp(ss, cx) == O.perp(ss, x)
+    assert perp(y) & ~perp(x) == 0
+    cx = perp(perp(x))
+    assert x & ~cx == 0
+    assert perp(perp(cx)) == cx
+    assert perp(cx) == perp(x)
+    # against the set-based oracle
+    orth = ora.rows_to_dict(ss.orth.rows)
+    assert ora.mask_to_set(perp(x)) == ora.perp(orth, ora.mask_to_set(x))
+    assert ora.mask_to_set(cx) == ora.double_perp(orth, ora.mask_to_set(x))
     # separation makes every singleton closed
     for p in range(n):
-        s = AtomSet.single(p, n)
-        assert O.biorthogonal_closure(ss, s) == s
+        assert perp(perp(1 << p)) == 1 << p
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +142,7 @@ def test_property_lattice_join_is_double_perp(mo2, mo2_ppl):
     for m in range(16):
         direct = mo2_ppl.cs.closure_mask(m)
         assert mo2_ppl.join_mask(m) == direct
-        assert O.biorthogonal_closure(mo2, AtomSet(m, 4)).bits == direct
+        assert mo2.orth.perp_mask(mo2.orth.perp_mask(m)) == direct
 
 
 def test_biorthogonal_family_is_the_meet_closure_of_the_rows(mo2, mo2_ppl, b2_ppl):

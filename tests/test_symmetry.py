@@ -17,7 +17,6 @@ from orthlab.symmetry import (
     find_plane_symmetry,
     is_group_transitive,
     is_plane_transitive,
-    is_symmetry,
     product_plane_witness,
     symmetry_failure,
     verify_plane_witness,
@@ -51,8 +50,8 @@ def _random_families():
     rng = random.Random(11)
     out = []
     for ss in (O.boolean_space(4), O.boolean_space(5), O.mo_lantern(2), O.mo_lantern(3)) * 3:
-        gens = [O.AtomSet(1 << p, ss.n) for p in range(ss.n)]
-        gens += [O.AtomSet(rng.randrange(1, 1 << ss.n), ss.n) for _ in range(rng.randrange(1, 4))]
+        gens = [1 << p for p in range(ss.n)]
+        gens += [rng.randrange(1, 1 << ss.n) for _ in range(rng.randrange(1, 4))]
         out.append(O.PPL(O.meet_closure(gens, ss.n), ss.orth, ss.labels))
     return out
 
@@ -66,8 +65,7 @@ def test_symmetry_defect_on_orthogonality(mo2_ppl):
     assert defect is not None
     assert defect.kind == "orthogonality"
     assert defect.pair == (0, 2)
-    assert not is_symmetry(mo2_ppl, (1, 0, 2, 3))
-    assert is_symmetry(mo2_ppl, (1, 0, 3, 2))
+    assert symmetry_failure(mo2_ppl, (1, 0, 3, 2)) is None
 
 
 def test_symmetry_defect_on_a_closed_set():
@@ -84,12 +82,6 @@ def test_symmetry_defect_on_a_closed_set():
 def test_symmetry_failure_rejects_non_permutations(mo2_ppl):
     with pytest.raises(ValueError):
         symmetry_failure(mo2_ppl, (0, 0, 2, 3))
-
-
-def test_symmetry_image_mask():
-    f = Symmetry((1, 2, 0))
-    assert f(0) == 1
-    assert f.image_mask(0b011) == 0b110
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +162,8 @@ def test_orthogonality_automorphisms_suffice_on_property_lattices(random_batch):
         for perm in itertools.permutations(range(ss.n)):
             preserves = all((q in orth[p]) == (perm[q] in orth[perm[p]])
                             for p in range(ss.n) for q in range(ss.n))
-            assert preserves == is_symmetry(ppl, perm) == ora.is_symmetry_perm(orth, fam, perm)
+            assert preserves == (symmetry_failure(ppl, perm) is None) \
+                == ora.is_symmetry_perm(orth, fam, perm)
 
 
 def test_symmetry_failure_matches_oracle_off_property_lattices():
@@ -306,6 +299,7 @@ def test_find_plane_symmetry_range_check(b3_ppl):
 
 def test_verify_plane_witness_catches_tampering(b4_ppl):
     w = find_plane_symmetry(b4_ppl, 0, 1)
+    assert w.f(w.p) == w.q == 1
     bad = PlaneWitness(p=w.p, q=w.q, p1=w.p1, p2=w.p2, f=Symmetry((0, 1, 2, 3)))
     assert verify_plane_witness(b4_ppl, bad) is not None
     degenerate = PlaneWitness(p=w.p, q=w.q, p1=2, p2=2, f=w.f)
@@ -560,16 +554,31 @@ def test_orbit_records_skip_only_implied_probes(probes, b4_ppl, mo3_ppl, random_
         assert not Counter(probes) - Counter(calls)
         skipped += len(calls) - len(probes)
 
-        calls, transitive = [], True
-        for q in range(1, ppl.n):
-            calls.append(((0, q),))
-            if next(_backtrack(ppl, {0: q}, _Budget(None)), None) is None:
-                transitive = False
-                break
+        # group transitivity reads the group's generators: the same probes
         probes.clear()
-        assert is_group_transitive(ppl, budget=None) == transitive
-        assert not Counter(probes) - Counter(calls)
+        transitive = is_group_transitive(ppl, budget=None)
+        assert probes == group
+        orbit_of_0 = {f[0] for f in ora.symmetries_by_extension(*_orth_and_family(ppl))}
+        assert transitive == (len(orbit_of_0) == ppl.n)
     assert skipped > 0
+
+
+def test_group_transitivity_shares_the_budget_of_the_group(mo3):
+    # one budget for every probe: both run out exactly when the whole
+    # group needs more nodes than the budget, at the same probe
+    ppl = O.property_lattice(O.separated_product(mo3, mo3))
+    spent = _Budget(None)
+    S._group(ppl, spent, _atom_signatures(ppl))
+    for budget in (1, spent.spent // 10, spent.spent - 1):
+        with pytest.raises(BudgetExceededError) as counted:
+            count_symmetries(ppl, budget=budget)
+        with pytest.raises(BudgetExceededError) as grouped:
+            is_group_transitive(ppl, budget=budget)
+        assert grouped.value.query is not None
+        assert grouped.value.query == counted.value.query
+        assert str(grouped.value) == str(counted.value)
+    assert count_symmetries(ppl, budget=spent.spent) == 4_608
+    assert is_group_transitive(ppl, budget=spent.spent)
 
 
 def test_orbit_record_keeps_classes_apart_through_merges(probes):
