@@ -16,6 +16,7 @@ from typing import Union
 
 from .bitset import AtomSet, canonical_key, mask_bits
 from .closure import ClosureSystem, LatticeElement
+from .errors import InvariantViolationError
 from .statespace import PPL
 
 
@@ -125,6 +126,45 @@ def find_compatible_orthocomplementation(ppl: PPL) -> Orthocomplementation | Cer
 def check_orthomodular(ppl: PPL, oc: Orthocomplementation) -> AxiomReport:
     """For every a below b, does joining a with (b meet a') give back b?
 
+    The verdict is the standard criterion (Kalmbach, *Orthomodular
+    Lattices*, 1983): the lattice fails exactly when some a < b has
+    b ∧ a′ = 0, that is, some closed b ⊋ a misses a⊥.  If (a, b) fails,
+    d = a ∨ (b ∧ a′) is a closed subset of b other than b, and b ∧ d′ = 0:
+    d′ ⊆ a′ gives b ∧ d′ ⊆ b ∧ a′ ⊆ d, so b ∧ d′ ⊆ d ∧ d′ = 0.
+    Conversely, a < b with b ∧ a′ = 0 makes (a, b) fail, since
+    a ∨ 0 = a ≠ b.  For each a the closed supersets that miss a⊥ are one
+    bitmap over the element indices: a's superset bitmap with each column
+    of an atom of a⊥ cleared.  a itself is always in it (a ∩ a⊥ is
+    empty), so the law holds exactly when no bitmap has a second bit.
+
+    The first d found this way need not be the a of the canonically first
+    failing pair, so a failing verdict hands over to
+    :func:`_orthomodular_certificate`, which scans the identity from the
+    first element.  ``checked`` counts a's one-point extensions, n - |a|,
+    for each element a visited: every element when the law holds, and
+    those up to the certificate's a when it fails.
+    """
+    t0 = time.perf_counter()
+    cs = ppl.cs
+    masks, perp_mask = cs.masks, ppl.orth.perp_mask
+    every = (1 << len(masks)) - 1
+    outside = [every ^ c for c in cs._cols]  # closed sets missing atom r
+    for a in masks:
+        sup = cs._superset_bits(a)
+        ap = perp_mask(a)
+        while ap:
+            low = ap & -ap
+            sup &= outside[low.bit_length() - 1]
+            ap ^= low
+        if sup & (sup - 1):
+            return _orthomodular_certificate(ppl, oc, t0)
+    checked = len(masks) * cs.n - sum(map(int.bit_count, masks))
+    return _timed("orthomodular", True, None, checked, t0)
+
+
+def _orthomodular_certificate(ppl: PPL, oc: Orthocomplementation, t0: float) -> AxiomReport:
+    """The failing report of :func:`check_orthomodular`, for a failing lattice.
+
     Only the one-point extensions B = cl(a ∪ {r}) need testing.  If
     (a, b) fails, d = a ∨ (b ∧ a′) is a closed subset of b other than b;
     take r in b∖d.  Then B = cl(a ∪ {r}) ⊆ b fails too: B ∧ a′ ⊆ b ∧ a′
@@ -132,10 +172,8 @@ def check_orthomodular(ppl: PPL, oc: Orthocomplementation) -> AxiomReport:
     than b, being a subset of it, so for each a the canonically first
     failing b is the canonically first failing one-point extension.  The
     scan is a-major, so the certificate is the one an exhaustive scan of
-    all pairs a ⊆ b in canonical order reports.  ``checked`` counts the
-    one-point extensions computed.
+    all pairs a ⊆ b in canonical order reports.
     """
-    t0 = time.perf_counter()
     cs = ppl.cs
     masks = cs.masks
     checked = 0
@@ -153,7 +191,7 @@ def check_orthomodular(ppl: PPL, oc: Orthocomplementation) -> AxiomReport:
                     ("rebuilt", AtomSet(rebuilt, cs.n)),
                 ))
                 return _timed("orthomodular", False, cert, checked, t0)
-    return _timed("orthomodular", True, None, checked, t0)
+    raise InvariantViolationError("the orthomodularity criterion fails but no pair a ⊆ b does")
 
 
 def check_covering_law(cs: ClosureSystem) -> AxiomReport:
@@ -162,29 +200,45 @@ def check_covering_law(cs: ClosureSystem) -> AxiomReport:
     Atoms here are the covers of the bottom element, and j = a ∨ p covers
     a exactly when cl(a ∪ {r}) = j for every r in j∖a (the criterion of
     :meth:`ClosureSystem.upper_covers`, given a's one-point extensions).
+    The join is itself a one-point extension: for any r0 in p outside the
+    bottom, cl(a ∪ {r0}) contains cl(bottom ∪ {r0}) = p, because p covers
+    the bottom.
+
+    An element a passes without the per-atom scan when the sizes
+    |k∖a| of its distinct one-point extensions k sum to |ground∖a|.  The
+    sets {r ∉ a : cl(a ∪ {r}) = k} partition ground∖a, and each lies
+    inside k∖a, so equal sums force every one of them to be all of k∖a:
+    every extension covers a, and with it every join a ∨ p.  Where the
+    sum differs, the per-atom scan decides; on a family that is not T1 it
+    can still pass there, since an extension that fails to cover a need
+    not be a join with an atom.
+
     Any m strictly between a and j contains some r in m∖a, with
     cl(a ∪ {r}) ⊆ m, so the canonically first element strictly between is
     the canonical minimum of the closures cl(a ∪ {r}) other than j, r in
     j∖a: m contains one of them, which is canonically no later than m.
     The scan runs element-major (each a against every atom it misses, in
     canonical order), so the certificate is the one an exhaustive scan of
-    the pairs and of the elements between reports.  The join itself is a
-    one-point extension: for any r0 in p outside the bottom, cl(a ∪ {r0})
-    contains cl(bottom ∪ {r0}) = p, because p covers the bottom.
-    ``checked`` counts the one-point extensions computed.
+    the pairs and of the elements between reports.  ``checked`` counts
+    the one-point extensions computed.
     """
     t0 = time.perf_counter()
     masks = cs.masks
     bottom = masks[0]
-    atoms = []  # (atom, its mask, its lowest atom r0 outside the bottom)
-    for p in cs.lattice_atoms():
-        pm = p.atoms.bits
-        rest = pm & ~bottom
-        atoms.append((p, pm, (rest & -rest).bit_length() - 1))
+    atoms = None  # (atom, its mask, its lowest atom r0 outside the bottom), on first need
     checked = 0
     for i, a in enumerate(masks):
         ext = cs.one_point_extensions(a)
-        checked += cs.n - a.bit_count()
+        rest = cs.n - a.bit_count()
+        checked += rest
+        if sum((masks[k] & ~a).bit_count() for k in set(ext)) == rest:
+            continue
+        if atoms is None:
+            atoms = []
+            for p in cs.lattice_atoms():
+                pm = p.atoms.bits
+                low = pm & ~bottom
+                atoms.append((p, pm, (low & -low).bit_length() - 1))
         ups = cs.upper_covers(a, ext)
         for p, pm, r0 in atoms:
             if a & pm != bottom:

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .axioms import (Certificate, check_boolean, check_orthomodular, check_trivial,
-                     find_compatible_orthocomplementation)
+from .axioms import (Certificate, check_boolean, check_covering_law, check_orthomodular,
+                     check_trivial, find_compatible_orthocomplementation)
 from .catalog import SplitMix64, random_space
 from .errors import CouldNotSeparateError, ParseError
 from .formats import _tokenize, serialize_statespace
@@ -98,8 +98,6 @@ def _minimal_oc_nontrivial(ss1: StateSpace, ss2: StateSpace) -> str | None:
 
 def _minimal_covering_nontrivial(ss1: StateSpace, ss2: StateSpace) -> str | None:
     """Hit iff the minimal product satisfies the covering law with both factors nontrivial."""
-    from .axioms import check_covering_law
-
     ppls = [property_lattice(ss) for ss in (ss1, ss2)]
     if any(check_trivial(p.cs) for p in ppls):
         return None

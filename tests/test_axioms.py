@@ -145,11 +145,19 @@ def _key(s):
     return (len(s), ora.set_to_mask(s))
 
 
+#: Random spaces (n, density, seed) failing orthomodularity where the first
+#: element a with a closed b ⊋ a missing a⊥ comes after the certificate's a,
+#: so a certificate scan started at that element would report another pair.
+LATE_CRITERION = ((6, 0.5, 5), (7, 0.5, 6), (7, 0.5, 10), (7, 0.7, 6),
+                  (8, 0.5, 3), (8, 0.7, 2), (8, 0.7, 8))
+
+
 def test_orthomodular_agrees_with_oracle(random_batch):
     lattices = [O.property_lattice(ss) for ss in random_batch]
     lattices += [O.property_lattice(O.separated_product(a, b))
                  for a, b in _small_pairs(random_batch)]
-    failures = 0
+    lattices += [O.property_lattice(O.random_space(*args)) for args in LATE_CRITERION]
+    failures = late = 0
     for ppl in lattices:
         oc = find_compatible_orthocomplementation(ppl)
         assert not isinstance(oc, Certificate)
@@ -165,7 +173,28 @@ def test_orthomodular_agrees_with_oracle(random_batch):
             assert ora.mask_to_set(cert.part("b").atoms.bits) == b
             assert ora.replay_orthomodular(fam, complement, a, b,
                                            ora.mask_to_set(cert.part("rebuilt").bits))
-    assert failures > 0
+            first = min((x for x in fam if any(x < y and not y & complement[x] for y in fam)),
+                        key=_key)
+            late += _key(first) > _key(a)
+    assert failures > 0 and late >= len(LATE_CRITERION)
+
+
+def _law_holding_lattices():
+    spaces = [O.boolean_space(k) for k in range(1, 6)] + [O.mo_lantern(k) for k in range(2, 5)]
+    spaces.append(O.separated_product(O.boolean_space(3), O.mo_lantern(2)))
+    return [O.property_lattice(ss) for ss in spaces]
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("the certificate path ran on a lattice where the law holds")
+
+
+def test_orthomodular_verdict_needs_no_join_where_the_law_holds(monkeypatch):
+    lattices = [(ppl, find_compatible_orthocomplementation(ppl))
+                for ppl in _law_holding_lattices()]
+    monkeypatch.setattr(O.PPL, "join_mask", _raise)
+    for ppl, oc in lattices:
+        assert check_orthomodular(ppl, oc).holds
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +258,13 @@ def test_covering_agrees_with_oracle(random_batch):
             got = [ora.mask_to_set(cert.part(k).atoms.bits) for k in ("p", "a", "join", "between")]
             assert got == [p, a, join, between]
     assert wide_failures > 0 and failures > wide_failures
+
+
+def test_covering_verdict_needs_no_cover_scan_where_the_law_holds(monkeypatch):
+    families = [ppl.cs for ppl in _law_holding_lattices()]
+    monkeypatch.setattr(O.ClosureSystem, "upper_covers", _raise)
+    for cs in families:
+        assert check_covering_law(cs).holds
 
 
 # ---------------------------------------------------------------------------
