@@ -4,10 +4,9 @@ from .bitset import GROUND_CAPACITY, AtomSet
 from .closure import DEFAULT_FAMILY_CAP, ClosureSystem, LatticeElement, meet_closure
 from .statespace import (PPL, CheckResult, OrthoRelation, StateSpace, ValidationReport,
                          property_lattice, validate_state_space)
-from .axioms import (AxiomReport, Certificate, CheckStats, Orthocomplementation,
-                     axiom_suite, check_boolean, check_covering_law, check_irreducible,
-                     check_orthomodular, check_trivial,
-                     find_compatible_orthocomplementation)
+from .axioms import (AxiomReport, Certificate, CheckStats, axiom_suite, check_boolean,
+                     check_covering_law, check_irreducible, check_orthomodular,
+                     check_trivial, find_compatible_orthocomplementation)
 from .products import (minimal_product, product_orthogonality, rectangle_family,
                        separated_product)
 from .symmetry import (DEFAULT_BUDGET, PlaneTransitivityReport, PlaneWitness, Symmetry,

@@ -1,7 +1,10 @@
 """Lattice axiom checkers returning pass verdicts or replayable certificates.
 
-A checker tests only the conditions its input can break; what the perp
-Galois connection guarantees on a valid input is proved in the checker's
+Every checker takes one PPL.  Orthomodularity, distributivity and
+irreducibility raise ``ValueError`` when the PPL has no compatible
+complement, and the covering law when its family is not T1.  A checker
+tests only the conditions its input can break; what the perp Galois
+connection guarantees on a valid input is proved in the checker's
 docstring instead of scanned.  Scans run in the canonical order, so the
 first counterexample found is deterministic.  Certificates carry the
 element ids and atom sets involved; replaying one against the same
@@ -48,54 +51,49 @@ class AxiomReport:
     stats: CheckStats
 
 
-@dataclass(frozen=True)
-class Orthocomplementation:
-    """The complement A ↦ A⊥ on the closed sets of ``ppl``, as a map on element ids.
-
-    :func:`find_compatible_orthocomplementation` shows that a compatible
-    complement can only be this map and returns it only when every perp of
-    a closed set is closed, so an image is computed when it is asked for:
-    the id of the perp of the element's atom set.
-    """
-
-    ppl: PPL
-
-    def __call__(self, i: int) -> int:
-        cs = self.ppl.cs
-        return cs._index[self.ppl.orth.perp_mask(cs.masks[i])]
-
-
 def _timed(axiom: str, holds: bool, cert: Certificate | None, checked: int,
            t0: float) -> AxiomReport:
     return AxiomReport(axiom, holds, cert, CheckStats(checked, time.perf_counter() - t0))
 
 
-def find_compatible_orthocomplementation(ppl: PPL) -> Orthocomplementation | Certificate:
-    """The unique candidate complement compatible with the orthogonality, if any.
+def find_compatible_orthocomplementation(ppl: PPL) -> AxiomReport:
+    """Does a complement compatible with the orthogonality exist?
 
     Compatibility (p orthogonal to q iff p lies below the complement of q)
     forces the complement of an atom to be the closed set holding exactly
     its perp row, and order reversal plus involution then force every
-    element to the perp of its atom set.  Three conditions can fail, and a
-    failure is returned as an impossibility certificate: an atom's perp row
-    is not closed, some element's perp is not closed, or perp is not an
-    involution on the family.  The other complement laws are theorems of
-    the Galois connection on a valid input: perp is antitone, so the map
-    reverses order; A meets A⊥ in the empty set by antireflexivity; A joins
-    A⊥ to the top because every member is fixed by double perp, so every
-    closed superset of A ∪ A⊥ contains (A ∪ A⊥)⊥⊥ = (A⊥ ∩ A)⊥, the whole
-    ground set; and compatibility on atoms, with the complement of {q}
-    being q's perp row, restates symmetry.
-
-    On a ``biorthogonal`` ppl none of the three conditions is scanned,
-    since each is a theorem there: the family is every set fixed by double
-    perp, and every perp A⊥ is fixed, A⊥⊥⊥ = A⊥, so each perp row {q}⊥
-    and each element's perp is closed, and A⊥⊥ = A for every member makes
-    perp an involution.
+    element to the perp of its atom set.  The report holds when that map
+    is a complement, and otherwise carries the certificate of
+    :func:`_complement_failure`.  ``checked`` counts the elements mapped.
     """
+    t0 = time.perf_counter()
     ppl.require_valid()
-    if ppl.biorthogonal:
-        return Orthocomplementation(ppl)
+    cert = None if ppl.biorthogonal else _complement_failure(ppl)
+    return _timed("orthocomplementation", cert is None, cert,
+                  len(ppl.cs) if cert is None else 0, t0)
+
+
+def _complement_failure(ppl: PPL) -> Certificate | None:
+    """Why A ↦ A⊥ is no complement on the closed sets of a valid ``ppl``, or None.
+
+    Two conditions can fail, and are scanned in this order: an atom's
+    perp row is not closed, or perp is not an involution on the family.
+    That the perp of every element is closed needs no scan: once every
+    row {q}⊥ is closed, every perp A⊥ = ⋂_{a∈A} {a}⊥ is a meet of closed
+    sets, so it is closed (A = ∅ gives the top).  Hence a compatible
+    complement exists exactly when the family F is the double-perp family
+    B: closed rows and meets give B ⊆ F, and the involution gives F ⊆ B.
+    The other complement laws are theorems of the Galois connection on a
+    valid input: perp is antitone, so the map reverses order; A meets A⊥
+    in the empty set by antireflexivity; A joins A⊥ to the top because
+    every member is fixed by double perp, so every closed superset of
+    A ∪ A⊥ contains (A ∪ A⊥)⊥⊥ = (A⊥ ∩ A)⊥, the whole ground set; and
+    compatibility on atoms, with the complement of {q} being q's perp
+    row, restates symmetry.
+
+    A ``biorthogonal`` ppl needs neither scan: its family is B, and every
+    perp is fixed by double perp, A⊥⊥⊥ = A⊥.
+    """
     cs, o = ppl.cs, ppl.orth
     idx = cs._index
     for q in range(o.n):
@@ -104,26 +102,27 @@ def find_compatible_orthocomplementation(ppl: PPL) -> Orthocomplementation | Cer
                 ("atom", cs.element(idx[1 << q])),
                 ("required", AtomSet(o.rows[q], o.n)),
             ))
-    mapping = []
+    perp = o.perp_mask
     for i, m in enumerate(cs.masks):
-        pm = o.perp_mask(m)
-        if pm not in idx:
-            return Certificate("perp-not-closed", (
-                ("element", cs.element(i)),
-                ("required", AtomSet(pm, o.n)),
-            ))
-        mapping.append(idx[pm])
-    for i in range(len(cs)):
-        if mapping[mapping[i]] != i:
+        pm = perp(m)
+        if perp(pm) != m:
             return Certificate("not-involutive", (
                 ("element", cs.element(i)),
-                ("image", cs.element(mapping[i])),
-                ("double-image", cs.element(mapping[mapping[i]])),
+                ("image", cs.element(idx[pm])),
+                ("double-image", cs.element(idx[perp(pm)])),
             ))
-    return Orthocomplementation(ppl)
+    return None
 
 
-def check_orthomodular(ppl: PPL, oc: Orthocomplementation) -> AxiomReport:
+def _require_complement(ppl: PPL) -> None:
+    """Raise ``ValueError`` unless ``ppl`` has a compatible complement; a biorthogonal one has."""
+    if not ppl.biorthogonal:
+        ppl.require_valid()
+        if _complement_failure(ppl) is not None:
+            raise ValueError("the ppl admits no compatible orthocomplementation")
+
+
+def check_orthomodular(ppl: PPL) -> AxiomReport:
     """For every a below b, does joining a with (b meet a') give back b?
 
     The verdict is the standard criterion (Kalmbach, *Orthomodular
@@ -145,6 +144,7 @@ def check_orthomodular(ppl: PPL, oc: Orthocomplementation) -> AxiomReport:
     those up to the certificate's a when it fails.
     """
     t0 = time.perf_counter()
+    _require_complement(ppl)
     cs = ppl.cs
     masks, perp_mask = cs.masks, ppl.orth.perp_mask
     every = (1 << len(masks)) - 1
@@ -157,12 +157,12 @@ def check_orthomodular(ppl: PPL, oc: Orthocomplementation) -> AxiomReport:
             sup &= outside[low.bit_length() - 1]
             ap ^= low
         if sup & (sup - 1):
-            return _orthomodular_certificate(ppl, oc, t0)
+            return _orthomodular_certificate(ppl, t0)
     checked = len(masks) * cs.n - sum(map(int.bit_count, masks))
     return _timed("orthomodular", True, None, checked, t0)
 
 
-def _orthomodular_certificate(ppl: PPL, oc: Orthocomplementation, t0: float) -> AxiomReport:
+def _orthomodular_certificate(ppl: PPL, t0: float) -> AxiomReport:
     """The failing report of :func:`check_orthomodular`, for a failing lattice.
 
     Only the one-point extensions B = cl(a ∪ {r}) need testing.  If
@@ -175,10 +175,10 @@ def _orthomodular_certificate(ppl: PPL, oc: Orthocomplementation, t0: float) -> 
     all pairs a ⊆ b in canonical order reports.
     """
     cs = ppl.cs
-    masks = cs.masks
+    masks, perp_mask = cs.masks, ppl.orth.perp_mask
     checked = 0
     for i, a in enumerate(masks):
-        oca = masks[oc(i)]
+        oca = perp_mask(a)
         ext = cs.one_point_extensions(a)
         checked += cs.n - a.bit_count()
         for j in sorted(set(ext) - {i}):  # b = a cannot fail: a ∧ a′ is the bottom
@@ -194,38 +194,37 @@ def _orthomodular_certificate(ppl: PPL, oc: Orthocomplementation, t0: float) -> 
     raise InvariantViolationError("the orthomodularity criterion fails but no pair a ⊆ b does")
 
 
-def check_covering_law(cs: ClosureSystem) -> AxiomReport:
+def check_covering_law(ppl: PPL) -> AxiomReport:
     """Whenever an atom p misses an element a, must a join p cover a?
 
-    Atoms here are the covers of the bottom element, and j = a ∨ p covers
-    a exactly when cl(a ∪ {r}) = j for every r in j∖a (the criterion of
-    :meth:`ClosureSystem.upper_covers`, given a's one-point extensions).
-    The join is itself a one-point extension: for any r0 in p outside the
-    bottom, cl(a ∪ {r0}) contains cl(bottom ∪ {r0}) = p, because p covers
-    the bottom.
+    The family must be T1 (``ValueError`` otherwise), as a valid PPL's
+    is, so the atoms are the singletons {r} and a ∨ {r} = cl(a ∪ {r}).
+    That join covers a exactly when cl(a ∪ {s}) equals it for every s in
+    it outside a (the criterion of :meth:`ClosureSystem.upper_covers`).
 
-    An element a passes without the per-atom scan when the sizes
-    |k∖a| of its distinct one-point extensions k sum to |ground∖a|.  The
-    sets {r ∉ a : cl(a ∪ {r}) = k} partition ground∖a, and each lies
-    inside k∖a, so equal sums force every one of them to be all of k∖a:
-    every extension covers a, and with it every join a ∨ p.  Where the
-    sum differs, the per-atom scan decides; on a family that is not T1 it
-    can still pass there, since an extension that fails to cover a need
-    not be a join with an atom.
+    An element a passes without the per-atom scan when the sizes |k∖a|
+    of its distinct one-point extensions k sum to |ground∖a|.  The sets
+    {r ∉ a : cl(a ∪ {r}) = k} partition ground∖a, and each lies inside
+    k∖a, so equal sums force every one of them to be all of k∖a: every
+    extension, and so every join a ∨ {r}, covers a.  Where the sum
+    differs, some extension cl(a ∪ {r}) fails to cover a, and it is a
+    join with an atom, so the law fails at a and the per-atom scan, over
+    r ∉ a in ascending order, only builds the certificate.
 
-    Any m strictly between a and j contains some r in m∖a, with
-    cl(a ∪ {r}) ⊆ m, so the canonically first element strictly between is
-    the canonical minimum of the closures cl(a ∪ {r}) other than j, r in
-    j∖a: m contains one of them, which is canonically no later than m.
-    The scan runs element-major (each a against every atom it misses, in
-    canonical order), so the certificate is the one an exhaustive scan of
-    the pairs and of the elements between reports.  ``checked`` counts
-    the one-point extensions computed.
+    The canonically first element strictly between a and j = a ∨ {r} is
+    the canonical minimum of the closures cl(a ∪ {s}) other than j, s in
+    j∖a: any m strictly between contains one of them, which is
+    canonically no later than m.  The scan runs element-major (each a
+    against every atom it misses, in canonical order), so the certificate
+    is the one an exhaustive scan of the pairs and of the elements
+    between reports.  ``checked`` counts the one-point extensions
+    computed.
     """
     t0 = time.perf_counter()
+    cs = ppl.cs
+    if not cs.is_t1:
+        raise ValueError("the covering law is checked on T1 families only")
     masks = cs.masks
-    bottom = masks[0]
-    atoms = None  # (atom, its mask, its lowest atom r0 outside the bottom), on first need
     checked = 0
     for i, a in enumerate(masks):
         ext = cs.one_point_extensions(a)
@@ -233,43 +232,36 @@ def check_covering_law(cs: ClosureSystem) -> AxiomReport:
         checked += rest
         if sum((masks[k] & ~a).bit_count() for k in set(ext)) == rest:
             continue
-        if atoms is None:
-            atoms = []
-            for p in cs.lattice_atoms():
-                pm = p.atoms.bits
-                low = pm & ~bottom
-                atoms.append((p, pm, (low & -low).bit_length() - 1))
-        ups = cs.upper_covers(a, ext)
-        for p, pm, r0 in atoms:
-            if a & pm != bottom:
-                continue
-            jid = ext[r0]
-            if jid not in ups:
-                j = masks[jid]
-                between = min(ext[r] for r in mask_bits(j & ~a) if ext[r] != jid)
+        for r in mask_bits(masks[-1] & ~a):
+            jid = ext[r]
+            between = [ext[s] for s in mask_bits(masks[jid] & ~a) if ext[s] != jid]
+            if between:
                 cert = Certificate("covering-law", (
-                    ("p", p),
+                    ("p", cs.element(r + 1)),  # after the bottom ∅, {r} is element r + 1
                     ("a", cs.element(i)),
                     ("join", cs.element(jid)),
-                    ("between", cs.element(between)),
+                    ("between", cs.element(min(between))),
                 ))
                 return _timed("covering", False, cert, checked, t0)
     return _timed("covering", True, None, checked, t0)
 
 
-def check_boolean(cs: ClosureSystem, oc: Orthocomplementation) -> AxiomReport:
-    """Distributivity, decided by membership (the complement is given).
+def check_boolean(ppl: PPL) -> AxiomReport:
+    """Distributivity, decided by membership.
 
     A family with a compatible complement is T1, and a T1 family is
     distributive exactly when it is the full powerset (Birkhoff).  If every
     A ∪ {s} with A closed is closed, induction from the empty set closes
-    every subset, so the scan below decides that.  Otherwise take the first closed A in canonical order and
-    the lowest atom s with S = A ∪ {s} not closed, and the lowest r in
-    cl(S) outside S: x = {r}, y = A, z = {s} break distributivity, since
-    x meet (y join z) = {r} while (x meet y) join (x meet z) is empty.
-    ``checked`` counts the (A, s) probes.
+    every subset, so the scan below decides that.  Otherwise take the
+    first closed A in canonical order and the lowest atom s with
+    S = A ∪ {s} not closed, and the lowest r in cl(S) outside S: x = {r},
+    y = A, z = {s} break distributivity, since x meet (y join z) = {r}
+    while (x meet y) join (x meet z) is empty.  ``checked`` counts the
+    (A, s) probes.
     """
     t0 = time.perf_counter()
+    _require_complement(ppl)
+    cs = ppl.cs
     idx = cs._index
     full = (1 << cs.n) - 1
     checked = 0
@@ -289,7 +281,7 @@ def check_boolean(cs: ClosureSystem, oc: Orthocomplementation) -> AxiomReport:
     return _timed("boolean", True, None, checked, t0)
 
 
-def check_irreducible(ppl: PPL, oc: Orthocomplementation) -> AxiomReport:
+def check_irreducible(ppl: PPL) -> AxiomReport:
     """Are bottom and top the only central elements?
 
     z is central when every element F decomposes as
@@ -306,6 +298,7 @@ def check_irreducible(ppl: PPL, oc: Orthocomplementation) -> AxiomReport:
     component.  ``checked`` counts the atoms visited.
     """
     t0 = time.perf_counter()
+    _require_complement(ppl)
     rows = ppl.orth.rows
     full = (1 << ppl.n) - 1
     components = []
@@ -334,20 +327,13 @@ SUITE_AXIOMS = ("orthocomplementation", "orthomodular", "covering", "boolean", "
 def axiom_suite(ppl: PPL) -> tuple[AxiomReport | None, ...]:
     """The reports for :data:`SUITE_AXIOMS`, in that order.
 
-    Orthocomplementation is reported like the other axioms: it holds when a
-    compatible complement exists, and otherwise its certificate is the
-    impossibility certificate.  The covering law needs no complement; the
-    other three do, and are None when there is none.  ``checked`` counts
-    the elements the complement maps (0 when there is none).
+    The three that need a complement are None when there is none.
     """
-    t0 = time.perf_counter()
-    oc = find_compatible_orthocomplementation(ppl)
-    if isinstance(oc, Certificate):
-        return (_timed("orthocomplementation", False, oc, 0, t0), None,
-                check_covering_law(ppl.cs), None, None)
-    return (_timed("orthocomplementation", True, None, len(ppl.cs), t0),
-            check_orthomodular(ppl, oc), check_covering_law(ppl.cs),
-            check_boolean(ppl.cs, oc), check_irreducible(ppl, oc))
+    complement = find_compatible_orthocomplementation(ppl)
+    if not complement.holds:
+        return (complement, None, check_covering_law(ppl), None, None)
+    return (complement, check_orthomodular(ppl), check_covering_law(ppl),
+            check_boolean(ppl), check_irreducible(ppl))
 
 
 def check_trivial(cs: ClosureSystem) -> bool:

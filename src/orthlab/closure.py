@@ -179,27 +179,20 @@ class ClosureSystem:
                 out.append(a)
         return tuple(out)
 
-    def upper_covers(self, a: int, ext: list[int] | None = None) -> set[int]:
+    def upper_covers(self, a: int) -> set[int]:
         """Indices of the elements covering a closed ``a``, as an unsorted set.
 
         j covers a exactly when cl(a ∪ {r}) = j for every r in j∖a: each
         such closure lies above a and below j, and any closed m strictly
         between contains some r in m∖a, whose closure with a stays inside
-        m.  ``ext`` is a's :meth:`one_point_extensions` vector, computed
-        here when not given.
+        m.
         """
-        if ext is None:
-            ext = self.one_point_extensions(a)
         reach: dict[int, int] = {}  # k -> the r outside a with cl(a ∪ {r}) = masks[k]
-        for r, k in enumerate(ext):
+        for r, k in enumerate(self.one_point_extensions(a)):
             if not (a >> r) & 1:
                 reach[k] = reach.get(k, 0) | 1 << r
         masks = self.masks
         return {k for k, rs in reach.items() if rs == masks[k] & ~a}
-
-    def lattice_atoms(self) -> list[LatticeElement]:
-        """Elements covering the bottom element (the order-theoretic atoms)."""
-        return [self.element(i) for i in sorted(self.upper_covers(self.masks[0]))]
 
     # -- whole-family checks ----------------------------------------------
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .axioms import (Certificate, check_boolean, check_covering_law, check_orthomodular,
-                     check_trivial, find_compatible_orthocomplementation)
+from .axioms import (check_boolean, check_covering_law, check_orthomodular, check_trivial,
+                     find_compatible_orthocomplementation)
 from .catalog import SplitMix64, random_space
 from .errors import CouldNotSeparateError, ParseError
 from .formats import _tokenize, serialize_statespace
@@ -70,17 +70,9 @@ class SearchReport:
 def _sep_orthomodular_nonboolean(ss1: StateSpace, ss2: StateSpace) -> str | None:
     """Hit iff the separated product is orthomodular and neither factor is Boolean."""
     for ss in (ss1, ss2):
-        ppl = property_lattice(ss)
-        oc = find_compatible_orthocomplementation(ppl)
-        if isinstance(oc, Certificate):  # pragma: no cover - property lattices admit one
+        if check_boolean(property_lattice(ss)).holds:
             return None
-        if check_boolean(ppl.cs, oc).holds:
-            return None
-    prod = property_lattice(separated_product(ss1, ss2))
-    oc = find_compatible_orthocomplementation(prod)
-    assert not isinstance(oc, Certificate)
-    report = check_orthomodular(prod, oc)
-    if report.holds:
+    if check_orthomodular(property_lattice(separated_product(ss1, ss2))).holds:
         return "separated product is orthomodular with two non-Boolean factors"
     return None
 
@@ -90,8 +82,7 @@ def _minimal_oc_nontrivial(ss1: StateSpace, ss2: StateSpace) -> str | None:
     ppls = [property_lattice(ss) for ss in (ss1, ss2)]
     if any(check_trivial(p.cs) for p in ppls):
         return None
-    result = find_compatible_orthocomplementation(minimal_product(*ppls))
-    if not isinstance(result, Certificate):
+    if find_compatible_orthocomplementation(minimal_product(*ppls)).holds:
         return "minimal product admits a compatible orthocomplementation with nontrivial factors"
     return None
 
@@ -101,7 +92,7 @@ def _minimal_covering_nontrivial(ss1: StateSpace, ss2: StateSpace) -> str | None
     ppls = [property_lattice(ss) for ss in (ss1, ss2)]
     if any(check_trivial(p.cs) for p in ppls):
         return None
-    if check_covering_law(minimal_product(*ppls).cs).holds:
+    if check_covering_law(minimal_product(*ppls)).holds:
         return "minimal product satisfies the covering law with nontrivial factors"
     return None
 

@@ -14,7 +14,6 @@ from contextlib import contextmanager
 import orthlab as O
 from orthlab.axioms import (
     Certificate,
-    Orthocomplementation,
     check_boolean,
     check_covering_law,
     check_irreducible,
@@ -60,9 +59,10 @@ def _as_set(part) -> frozenset:
     return ora.mask_to_set(_bits(part))
 
 
-def _complement_dict(cs, oc: Orthocomplementation) -> dict:
-    return {ora.mask_to_set(cs.masks[i]): ora.mask_to_set(cs.masks[oc(i)])
-            for i in range(len(cs))}
+def _complement_dict(ppl) -> dict:
+    cs, orth = ppl.cs, ppl.orth
+    return {ora.mask_to_set(m): ora.mask_to_set(cs.masks[cs.id_of(orth.perp_mask(m))])
+            for m in cs.masks}
 
 
 def test_01_galois_laws_and_brute_lattice_equality():
@@ -99,14 +99,14 @@ def test_02_two_lantern_axiom_profile(mo2_ppl):
         cs = mo2_ppl.cs
         assert len(cs) == 6
         oc = find_compatible_orthocomplementation(mo2_ppl)
-        assert isinstance(oc, Orthocomplementation)
-        assert check_orthomodular(mo2_ppl, oc).holds
-        assert check_covering_law(cs).holds
-        assert not check_boolean(cs, oc).holds
-        assert check_irreducible(mo2_ppl, oc).holds
+        assert oc.holds and oc.certificate is None
+        assert check_orthomodular(mo2_ppl).holds
+        assert check_covering_law(mo2_ppl).holds
+        assert not check_boolean(mo2_ppl).holds
+        assert check_irreducible(mo2_ppl).holds
         fam = ora.family_to_sets(cs.masks)
         orth_d = ora.rows_to_dict(mo2_ppl.orth.rows)
-        comp = _complement_dict(cs, oc)
+        comp = _complement_dict(mo2_ppl)
         assert comp in ora.all_orthocomplementations(fam, orth_d)
         assert ora.orthomodular_violations(fam, comp) == set()
         assert ora.covering_violations(fam) == set()
@@ -117,14 +117,13 @@ def test_02_two_lantern_axiom_profile(mo2_ppl):
 def test_03_separated_lantern_product_failures(mo2):
     with criterion(3, "separated-lantern-product-failures", 30.0):
         ppl = property_lattice(separated_product(mo2, mo2))
-        oc = find_compatible_orthocomplementation(ppl)
-        assert isinstance(oc, Orthocomplementation)
-        om = check_orthomodular(ppl, oc)
-        cov = check_covering_law(ppl.cs)
+        assert find_compatible_orthocomplementation(ppl).holds
+        om = check_orthomodular(ppl)
+        cov = check_covering_law(ppl)
         assert not om.holds
         assert not cov.holds
         fam = ora.family_to_sets(ppl.cs.masks)
-        comp = _complement_dict(ppl.cs, oc)
+        comp = _complement_dict(ppl)
         c = om.certificate
         assert c.kind == "orthomodularity"
         assert ora.replay_orthomodular(fam, comp, _as_set(c.part("a")),
@@ -141,11 +140,12 @@ def test_04_minimal_square_product_failures(b2_ppl):
     with criterion(4, "minimal-square-product-failures", 1.0):
         prod = minimal_product(b2_ppl, b2_ppl)
         assert len(prod.cs) == 10
-        assert isinstance(find_compatible_orthocomplementation(prod), Certificate)
+        oc = find_compatible_orthocomplementation(prod)
+        assert not oc.holds and isinstance(oc.certificate, Certificate)
         fam = ora.family_to_sets(prod.cs.masks)
         orth_d = ora.rows_to_dict(prod.orth.rows)
         assert ora.replay_no_complement(fam, orth_d)
-        cov = check_covering_law(prod.cs)
+        cov = check_covering_law(prod)
         assert not cov.holds
         c = cov.certificate
         assert _bits(c.part("p")) == 0b1000

@@ -5,8 +5,8 @@ import random
 import pytest
 
 import orthlab as O
+from orthlab import axioms
 from orthlab.axioms import (
-    Certificate,
     check_boolean,
     check_covering_law,
     check_irreducible,
@@ -14,6 +14,7 @@ from orthlab.axioms import (
     check_trivial,
     find_compatible_orthocomplementation,
 )
+from orthlab.statespace import is_biorthogonal_family
 
 import oracles as ora
 
@@ -26,19 +27,27 @@ def _oracle_world(ppl):
     return orth, fam, complement
 
 
-def _mapping_as_sets(ppl, oc):
+def _perp_ids(ppl):
+    """The id of each element's perp; KeyError if some perp is not closed."""
+    cs, orth = ppl.cs, ppl.orth
+    return tuple(cs.id_of(orth.perp_mask(m)) for m in cs.masks)
+
+
+def _perp_map_as_sets(ppl):
     masks = ppl.cs.masks
-    return {ora.mask_to_set(m): ora.mask_to_set(masks[oc(i)])
-            for i, m in enumerate(masks)}
+    return {ora.mask_to_set(m): ora.mask_to_set(masks[j])
+            for m, j in zip(masks, _perp_ids(ppl))}
 
 
 # ---------------------------------------------------------------------------
 # orthocomplementation: the forced candidate vs brute involution search
 
 def test_lantern_orthocomplementation_is_the_expected_map(mo2_ppl):
-    oc = find_compatible_orthocomplementation(mo2_ppl)
-    assert not isinstance(oc, Certificate)
-    assert tuple(map(oc, range(len(mo2_ppl.cs)))) == (5, 3, 4, 1, 2, 0)
+    report = find_compatible_orthocomplementation(mo2_ppl)
+    assert report.axiom == "orthocomplementation"
+    assert report.holds and report.certificate is None
+    assert report.stats.checked == len(mo2_ppl.cs)
+    assert _perp_ids(mo2_ppl) == (5, 3, 4, 1, 2, 0)
 
 
 def _small_pairs(random_batch):
@@ -61,20 +70,21 @@ def test_forced_candidate_agrees_with_brute_search(b2_ppl, b3_ppl, mo2_ppl, rand
             continue
         orth, fam, _ = _oracle_world(ppl)
         found = ora.all_orthocomplementations(fam, orth)
-        oc = find_compatible_orthocomplementation(ppl)
-        if isinstance(oc, Certificate):
-            kinds.add(oc.kind)
+        report = find_compatible_orthocomplementation(ppl)
+        if not report.holds:
+            kinds.add(report.certificate.kind)
             assert found == []
+            assert report.stats.checked == 0
         else:
             # compatibility forces uniqueness; brute search must agree exactly
             assert len(found) == 1
-            assert _mapping_as_sets(ppl, oc) == found[0]
+            assert _perp_map_as_sets(ppl) == found[0]
     assert kinds == {"atom-row-not-closed", "not-involutive"}
 
 
 def test_complement_of_a_property_lattice_is_perp(random_batch):
-    # no scan runs on a biorthogonal lattice, so check the images it
-    # computes on demand, lattices of more than 16 members included
+    # no scan runs on a biorthogonal lattice, so check the perp map the
+    # verdict stands for, lattices of more than 16 members included
     lattices = [O.property_lattice(ss) for ss in random_batch]
     lattices += [O.property_lattice(O.boolean_space(k)) for k in range(1, 6)]
     lattices += [O.property_lattice(O.mo_lantern(k)) for k in range(2, 5)]
@@ -82,10 +92,9 @@ def test_complement_of_a_property_lattice_is_perp(random_batch):
     assert all(ppl.biorthogonal for ppl in lattices)
     assert max(len(ppl.cs) for ppl in lattices) > 16
     for ppl in lattices:
-        oc = find_compatible_orthocomplementation(ppl)
-        assert not isinstance(oc, Certificate)
+        assert find_compatible_orthocomplementation(ppl).holds
         _, _, complement = _oracle_world(ppl)
-        masks, mapping = ppl.cs.masks, tuple(map(oc, range(len(ppl.cs))))
+        masks, mapping = ppl.cs.masks, _perp_ids(ppl)
         assert {ora.mask_to_set(masks[i]): ora.mask_to_set(masks[j])
                 for i, j in enumerate(mapping)} == complement
         assert all(mapping[j] == i for i, j in enumerate(mapping))
@@ -93,15 +102,16 @@ def test_complement_of_a_property_lattice_is_perp(random_batch):
 
 def test_minimal_product_has_no_orthocomplementation(b2_ppl):
     prod = O.minimal_product(b2_ppl, b2_ppl)
-    cert = find_compatible_orthocomplementation(prod)
-    assert isinstance(cert, Certificate)
+    report = find_compatible_orthocomplementation(prod)
+    assert not report.holds
+    cert = report.certificate
     assert cert.kind == "atom-row-not-closed"
     orth, fam, _ = _oracle_world(prod)
     assert ora.replay_no_complement(fam, orth)
 
 
 def test_certificate_part_lookup(b2_ppl):
-    cert = find_compatible_orthocomplementation(O.minimal_product(b2_ppl, b2_ppl))
+    cert = find_compatible_orthocomplementation(O.minimal_product(b2_ppl, b2_ppl)).certificate
     assert cert.part("atom").atoms.bits == 0b0001
     with pytest.raises(KeyError):
         cert.part("nonexistent")
@@ -114,21 +124,91 @@ def test_orthocomplementation_requires_valid_input():
         find_compatible_orthocomplementation(ppl)
 
 
+def _t1_ppls(seed, count):
+    """Seeded T1 ppl's whose families mostly differ from the double-perp family.
+
+    Each family is the meet closure of a few random masks, the singletons,
+    the empty set and a random subset of the perp rows of a random space.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = 2 + len(out) % 6
+        try:
+            ss = O.random_space(n, rng.choice((0.3, 0.5, 0.7)), rng.getrandbits(32))
+        except O.CouldNotSeparateError:
+            continue
+        gens = [rng.getrandbits(n) for _ in range(rng.randrange(4))]
+        gens += [1 << p for p in range(n)] + [0]
+        gens += [row for row in ss.orth.rows if rng.random() < 0.5]
+        out.append(O.PPL(O.meet_closure(gens, n), ss.orth, ss.labels))
+    return out
+
+
+def test_complement_exists_exactly_on_the_double_perp_family():
+    # every perp is a meet of closed rows once the rows are closed, so
+    # only the two remaining failure kinds can show
+    kinds, holds, brute = set(), 0, 0
+    for ppl in _t1_ppls(11, 1000):
+        report = find_compatible_orthocomplementation(ppl)
+        assert report.holds == is_biorthogonal_family(ppl.cs, ppl.orth)
+        if report.holds:
+            holds += 1
+        else:
+            kinds.add(report.certificate.kind)
+        if len(ppl.cs) <= 16:
+            brute += 1
+            orth, fam, _ = _oracle_world(ppl)
+            assert report.holds == bool(ora.all_orthocomplementations(fam, orth))
+    assert kinds == {"atom-row-not-closed", "not-involutive"}
+    assert 0 < holds < 1000 and brute > 0
+
+
+def test_complement_checkers_need_a_complement(b2_ppl):
+    prod = O.minimal_product(b2_ppl, b2_ppl)
+    for check in (check_orthomodular, check_boolean, check_irreducible):
+        with pytest.raises(ValueError):
+            check(prod)
+
+
+def test_complement_checkers_validate_other_families():
+    cs = O.ClosureSystem.from_masks(2, [0b00, 0b01, 0b10, 0b11])
+    ppl = O.PPL(cs, O.OrthoRelation(2, (0b01, 0b10)), ("a", "b"))  # each atom self-orthogonal
+    for check in (check_orthomodular, check_boolean, check_irreducible):
+        with pytest.raises(O.InvalidInstanceError):
+            check(ppl)
+
+
+def test_complement_guard_scans_without_the_public_checker(b1_ppl, mo2_ppl, monkeypatch):
+    # a minimal product with a one-point factor is not marked biorthogonal,
+    # so the guard scans; the public checker must not run (and be counted)
+    ppl = O.minimal_product(b1_ppl, mo2_ppl)
+    assert not ppl.biorthogonal
+    monkeypatch.setattr(axioms, "find_compatible_orthocomplementation", _raise)
+    assert check_orthomodular(ppl).holds
+    assert not check_boolean(ppl).holds
+    assert check_irreducible(ppl).holds
+
+
+def test_complement_guard_builds_no_index_on_a_property_lattice(mo2):
+    ppl = O.property_lattice(O.separated_product(mo2, mo2))
+    assert not check_orthomodular(ppl).holds
+    assert "_index" not in vars(ppl.cs)
+
+
 # ---------------------------------------------------------------------------
 # orthomodularity
 
 def test_orthomodular_holds_on_catalog(b3_ppl, b4_ppl, mo2_ppl, mo3_ppl):
     for ppl in (b3_ppl, b4_ppl, mo2_ppl, mo3_ppl):
-        oc = find_compatible_orthocomplementation(ppl)
-        report = check_orthomodular(ppl, oc)
+        report = check_orthomodular(ppl)
         assert report.holds and report.certificate is None
         assert report.stats.checked > 0
 
 
 def test_orthomodular_fails_on_the_separated_lantern_square(mo2):
     ppl = O.property_lattice(O.separated_product(mo2, mo2))
-    oc = find_compatible_orthocomplementation(ppl)
-    report = check_orthomodular(ppl, oc)
+    report = check_orthomodular(ppl)
     assert not report.holds
     cert = report.certificate
     assert cert.kind == "orthomodularity"
@@ -159,11 +239,10 @@ def test_orthomodular_agrees_with_oracle(random_batch):
     lattices += [O.property_lattice(O.random_space(*args)) for args in LATE_CRITERION]
     failures = late = 0
     for ppl in lattices:
-        oc = find_compatible_orthocomplementation(ppl)
-        assert not isinstance(oc, Certificate)
+        assert find_compatible_orthocomplementation(ppl).holds
         _, fam, complement = _oracle_world(ppl)
         violations = ora.orthomodular_violations(fam, complement)
-        report = check_orthomodular(ppl, oc)
+        report = check_orthomodular(ppl)
         assert report.holds == (not violations)
         if not report.holds:
             failures += 1
@@ -190,11 +269,10 @@ def _raise(*args, **kwargs):
 
 
 def test_orthomodular_verdict_needs_no_join_where_the_law_holds(monkeypatch):
-    lattices = [(ppl, find_compatible_orthocomplementation(ppl))
-                for ppl in _law_holding_lattices()]
+    lattices = _law_holding_lattices()
     monkeypatch.setattr(O.PPL, "join_mask", _raise)
-    for ppl, oc in lattices:
-        assert check_orthomodular(ppl, oc).holds
+    for ppl in lattices:
+        assert check_orthomodular(ppl).holds
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +280,12 @@ def test_orthomodular_verdict_needs_no_join_where_the_law_holds(monkeypatch):
 
 def test_covering_holds_on_catalog(b3_ppl, b4_ppl, mo2_ppl, mo3_ppl):
     for ppl in (b3_ppl, b4_ppl, mo2_ppl, mo3_ppl):
-        assert check_covering_law(ppl.cs).holds
+        assert check_covering_law(ppl).holds
 
 
 def test_covering_fails_on_the_minimal_product_with_frozen_certificate(b2_ppl):
     prod = O.minimal_product(b2_ppl, b2_ppl)
-    report = check_covering_law(prod.cs)
+    report = check_covering_law(prod)
     assert not report.holds
     cert = report.certificate
     assert cert.kind == "covering-law"
@@ -223,48 +301,42 @@ def test_covering_fails_on_the_minimal_product_with_frozen_certificate(b2_ppl):
         ora.mask_to_set(0b1111), ora.mask_to_set(0b0011))
 
 
-def _random_families(seed, count):
-    """Seeded meet closures of random sets; most are not T1."""
-    rng = random.Random(seed)
-    out = []
-    for i in range(count):
-        n = 2 + i % 5
-        gens = [rng.getrandbits(n) for _ in range(2 + i % 4)]
-        out.append(O.meet_closure(gens, n))
-    return out
-
-
 def test_covering_agrees_with_oracle(random_batch):
-    families = [O.property_lattice(ss).cs for ss in random_batch]
+    lattices = [O.property_lattice(ss) for ss in random_batch]
     for a, b in _small_pairs(random_batch):
-        families.append(O.minimal_product(O.property_lattice(a), O.property_lattice(b)).cs)
-        families.append(O.property_lattice(O.separated_product(a, b)).cs)
-    # not T1: lattice atoms {0,1,2} and {0,3} over the bottom {0}
-    families.append(O.ClosureSystem.from_masks(5, [0b00001, 0b00111, 0b01001, 0b01111, 0b11111]))
-    families += _random_families(3, 60)
-    failures = wide_failures = 0
-    for cs in families:
-        fam = ora.family_to_sets(cs.masks)
+        lattices.append(O.minimal_product(O.property_lattice(a), O.property_lattice(b)))
+        lattices.append(O.property_lattice(O.separated_product(a, b)))
+    lattices += _t1_ppls(3, 60)
+    failures = 0
+    for ppl in lattices:
+        fam = ora.family_to_sets(ppl.cs.masks)
         violations = ora.covering_violations(fam)
-        report = check_covering_law(cs)
+        report = check_covering_law(ppl)
         assert report.holds == (not violations)
         if not report.holds:
             failures += 1
-            wide_failures += any(p.atoms.bits.bit_count() > 1 for p in cs.lattice_atoms())
             cert = report.certificate
             p, a = min(violations, key=lambda pa: (_key(pa[1]), _key(pa[0])))
             join = ora.family_join(fam, a, p)
             between = min((m for m in fam if a < m < join), key=_key)
             got = [ora.mask_to_set(cert.part(k).atoms.bits) for k in ("p", "a", "join", "between")]
             assert got == [p, a, join, between]
-    assert wide_failures > 0 and failures > wide_failures
+    assert 0 < failures < len(lattices)
+
+
+def test_covering_needs_a_t1_family():
+    # lattice atoms {0,1,2} and {0,3} over the bottom {0}
+    cs = O.ClosureSystem.from_masks(5, [0b00001, 0b00111, 0b01001, 0b01111, 0b11111])
+    ppl = O.PPL(cs, O.OrthoRelation.from_pairs(5, []), tuple("abcde"))
+    with pytest.raises(ValueError):
+        check_covering_law(ppl)
 
 
 def test_covering_verdict_needs_no_cover_scan_where_the_law_holds(monkeypatch):
-    families = [ppl.cs for ppl in _law_holding_lattices()]
-    monkeypatch.setattr(O.ClosureSystem, "upper_covers", _raise)
-    for cs in families:
-        assert check_covering_law(cs).holds
+    lattices = _law_holding_lattices()
+    monkeypatch.setattr(axioms, "mask_bits", _raise)  # the per-atom scan's bit walk
+    for ppl in lattices:
+        assert check_covering_law(ppl).holds
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +344,12 @@ def test_covering_verdict_needs_no_cover_scan_where_the_law_holds(monkeypatch):
 
 def test_boolean_verdicts_on_catalog(b2_ppl, b3_ppl, mo2_ppl):
     for ppl, expected in ((b2_ppl, True), (b3_ppl, True), (mo2_ppl, False)):
-        oc = find_compatible_orthocomplementation(ppl)
-        report = check_boolean(ppl.cs, oc)
+        report = check_boolean(ppl)
         assert report.holds == expected
 
 
 def test_boolean_failure_certificate_replays(mo2_ppl):
-    oc = find_compatible_orthocomplementation(mo2_ppl)
-    cert = check_boolean(mo2_ppl.cs, oc).certificate
+    cert = check_boolean(mo2_ppl).certificate
     assert cert.kind == "distributivity"
     _, fam, _ = _oracle_world(mo2_ppl)
     assert ora.replay_distributivity(
@@ -297,9 +367,8 @@ def test_boolean_agrees_with_oracle(random_batch):
     for ppl in lattices:
         if len(ppl.cs) > 16:
             continue
-        oc = find_compatible_orthocomplementation(ppl)
         fam = ora.family_to_sets(ppl.cs.masks)
-        report = check_boolean(ppl.cs, oc)
+        report = check_boolean(ppl)
         assert report.holds == ora.is_distributive(fam)
         if not report.holds:
             failures += 1
@@ -315,13 +384,11 @@ def test_boolean_agrees_with_oracle(random_batch):
 
 def test_lanterns_are_irreducible(mo2_ppl, mo3_ppl):
     for ppl in (mo2_ppl, mo3_ppl):
-        oc = find_compatible_orthocomplementation(ppl)
-        assert check_irreducible(ppl, oc).holds
+        assert check_irreducible(ppl).holds
 
 
 def test_boolean_square_splits(b2_ppl):
-    oc = find_compatible_orthocomplementation(b2_ppl)
-    report = check_irreducible(b2_ppl, oc)
+    report = check_irreducible(b2_ppl)
     assert not report.holds
     cert = report.certificate
     assert cert.kind == "central-element"
@@ -333,12 +400,11 @@ def test_irreducible_agrees_with_oracle(random_batch):
         ppl = O.property_lattice(ss)
         if len(ppl.cs) > 20:
             continue
-        oc = find_compatible_orthocomplementation(ppl)
         _, fam, complement = _oracle_world(ppl)
         central = ora.central_elements(fam, complement)
         bot, top = frozenset(), frozenset(range(ss.n))
         nontrivial = sorted(central - {bot, top}, key=lambda z: (len(z), ora.set_to_mask(z)))
-        report = check_irreducible(ppl, oc)
+        report = check_irreducible(ppl)
         assert report.holds == (not nontrivial)
         if not report.holds:
             assert ora.mask_to_set(report.certificate.part("z").atoms.bits) == nontrivial[0]

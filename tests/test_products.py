@@ -113,7 +113,9 @@ def test_one_point_factor_is_neutral(b1_ppl, mo2_ppl):
 
 def test_minimal_product_atoms_are_pair_singletons(mo2_ppl, b2_ppl):
     prod = O.minimal_product(mo2_ppl, b2_ppl)
-    assert [e.atoms.bits for e in prod.cs.lattice_atoms()] == [1 << k for k in range(8)]
+    cs = prod.cs
+    atoms = [cs.masks[i] for i in sorted(cs.upper_covers(cs.masks[0]))]
+    assert atoms == [1 << k for k in range(8)]
     assert prod.validate().ok
 
 

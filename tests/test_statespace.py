@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orthlab as O
-from orthlab.errors import CapacityError, InvalidInstanceError, InvariantViolationError
+from orthlab.errors import CapacityError, InvalidInstanceError
 from orthlab.statespace import OrthoRelation, PPL, StateSpace, is_biorthogonal_family
 
 import oracles as ora
