@@ -8,7 +8,7 @@ orthocomplementation or satisfying the covering law with nontrivial
 factors).  Each target gets one summary line; a hit is printed as the
 search report's ``hit`` lines, which hold its replayable inputs, and
 makes the script exit 1.  An error ends the run with one ``error`` line
-on stderr, as in the ``orthlab`` command: exit 3 when the family cap or a
+on stderr, as in the ``orthlab`` command: exit 3 when a capacity or a
 search budget runs out, 2 for an invalid setting or another orthlab error.
 """
 

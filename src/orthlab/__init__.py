@@ -1,17 +1,17 @@
 """orthlab: finite orthogonality spaces, property lattices, and their symmetries."""
 
 from .bitset import GROUND_CAPACITY, AtomSet
-from .closure import DEFAULT_FAMILY_CAP, ClosureSystem, LatticeElement, meet_closure
+from .closure import DEFAULT_FAMILY_CAP, ClosureSystem, meet_closure
 from .statespace import (PPL, CheckResult, OrthoRelation, StateSpace, ValidationReport,
                          property_lattice, validate_state_space)
 from .axioms import (AxiomReport, Certificate, CheckStats, axiom_suite, check_boolean,
                      check_covering_law, check_irreducible, check_orthomodular,
-                     check_trivial, find_compatible_orthocomplementation)
+                     find_compatible_orthocomplementation)
 from .products import (minimal_product, product_orthogonality, rectangle_family,
                        separated_product)
 from .symmetry import (DEFAULT_BUDGET, PlaneTransitivityReport, PlaneWitness, Symmetry,
                        count_symmetries, enumerate_symmetries, find_plane_symmetry,
-                       is_group_transitive, is_plane_transitive,
+                       is_plane_transitive,
                        product_plane_witness, symmetry_failure, verify_plane_witness)
 from .catalog import SplitMix64, boolean_space, mo_lantern, random_space
 from .formats import (parse_ppl, parse_statespace, serialize_ppl, serialize_statespace)

@@ -6,19 +6,21 @@ complement, and the covering law when its family is not T1.  A checker
 tests only the conditions its input can break; what the perp Galois
 connection guarantees on a valid input is proved in the checker's
 docstring instead of scanned.  Scans run in the canonical order, so the
-first counterexample found is deterministic.  Certificates carry the
-element ids and atom sets involved; replaying one against the same
-instance must reproduce the violation.
+first counterexample found is deterministic.  The orthomodularity,
+covering and distributivity checkers decide a failure on the first n + 1
+elements, ∅ and the singletons, from joins alone while the family is not
+built, and read the family only where those pass.  Certificates carry the
+atom sets involved; replaying one against the same instance must
+reproduce the violation.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Iterable, Iterator
 
 from .bitset import AtomSet, canonical_key, mask_bits
-from .closure import ClosureSystem, LatticeElement
 from .errors import InvariantViolationError
 from .statespace import PPL
 
@@ -31,12 +33,12 @@ class CheckStats:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Structured counterexample: named parts, each an element or a raw set."""
+    """Structured counterexample: named parts, each a set of atoms."""
 
     kind: str
-    parts: tuple[tuple[str, Union[LatticeElement, AtomSet]], ...]
+    parts: tuple[tuple[str, AtomSet], ...]
 
-    def part(self, name: str):
+    def part(self, name: str) -> AtomSet:
         for k, v in self.parts:
             if k == name:
                 return v
@@ -56,6 +58,35 @@ def _timed(axiom: str, holds: bool, cert: Certificate | None, checked: int,
     return AxiomReport(axiom, holds, cert, CheckStats(checked, time.perf_counter() - t0))
 
 
+def _t1_prefix(ppl: PPL) -> Iterator[tuple[int, list[int]]]:
+    """The first n + 1 elements of a valid ppl, each with its one-point extensions.
+
+    A T1 family holds ∅ and every singleton, and these are all its sets
+    of at most one atom, so the canonical order starts ∅, {0}, …, {n−1}.
+    Each element a comes with ``ext``, ext[r] = cl(a ∪ {r}) as a mask:
+    the singletons for ∅ and the pair joins cl{p, r} for {p}.  Only joins
+    are read, never the family.
+    """
+    n, join = ppl.n, ppl.join_mask
+    yield 0, [1 << r for r in range(n)]
+    for p in range(n):
+        a = 1 << p
+        yield a, [join(a | 1 << r) for r in range(n)]
+
+
+def _first_failure(ppl: PPL, elements: Iterable[tuple[int, list[int]]],
+                   failure: Callable[[PPL, int, list[int]], Certificate | None]
+                   ) -> tuple[Certificate | None, int]:
+    """The first certificate ``failure`` gives on ``elements``, and the count
+    of one-point extensions, n - |a| per element visited."""
+    checked = 0
+    for a, ext in elements:
+        checked += ppl.n - a.bit_count()
+        if (cert := failure(ppl, a, ext)) is not None:
+            return cert, checked
+    return None, checked
+
+
 def find_compatible_orthocomplementation(ppl: PPL) -> AxiomReport:
     """Does a complement compatible with the orthogonality exist?
 
@@ -64,7 +95,8 @@ def find_compatible_orthocomplementation(ppl: PPL) -> AxiomReport:
     its perp row, and order reversal plus involution then force every
     element to the perp of its atom set.  The report holds when that map
     is a complement, and otherwise carries the certificate of
-    :func:`_complement_failure`.  ``checked`` counts the elements mapped.
+    :func:`_complement_failure`.  ``checked`` counts the elements mapped,
+    so a passing report reads the family.
     """
     t0 = time.perf_counter()
     ppl.require_valid()
@@ -77,7 +109,8 @@ def _complement_failure(ppl: PPL) -> Certificate | None:
     """Why A ↦ A⊥ is no complement on the closed sets of a valid ``ppl``, or None.
 
     Two conditions can fail, and are scanned in this order: an atom's
-    perp row is not closed, or perp is not an involution on the family.
+    perp row is not closed (its join is larger; no family is read), or
+    perp is not an involution on the family.
     That the perp of every element is closed needs no scan: once every
     row {q}⊥ is closed, every perp A⊥ = ⋂_{a∈A} {a}⊥ is a meet of closed
     sets, so it is closed (A = ∅ gives the top).  Hence a compatible
@@ -94,22 +127,21 @@ def _complement_failure(ppl: PPL) -> Certificate | None:
     A ``biorthogonal`` ppl needs neither scan: its family is B, and every
     perp is fixed by double perp, A⊥⊥⊥ = A⊥.
     """
-    cs, o = ppl.cs, ppl.orth
-    idx = cs._index
-    for q in range(o.n):
-        if o.rows[q] not in idx:
+    n, o = ppl.n, ppl.orth
+    for q, row in enumerate(o.rows):
+        if ppl.join_mask(row) != row:
             return Certificate("atom-row-not-closed", (
-                ("atom", cs.element(idx[1 << q])),
-                ("required", AtomSet(o.rows[q], o.n)),
+                ("atom", AtomSet(1 << q, n)),
+                ("required", AtomSet(row, n)),
             ))
     perp = o.perp_mask
-    for i, m in enumerate(cs.masks):
+    for m in ppl.cs.masks:
         pm = perp(m)
         if perp(pm) != m:
             return Certificate("not-involutive", (
-                ("element", cs.element(i)),
-                ("image", cs.element(idx[pm])),
-                ("double-image", cs.element(idx[perp(pm)])),
+                ("element", AtomSet(m, n)),
+                ("image", AtomSet(pm, n)),
+                ("double-image", AtomSet(perp(pm), n)),
             ))
     return None
 
@@ -137,14 +169,20 @@ def check_orthomodular(ppl: PPL) -> AxiomReport:
     empty), so the law holds exactly when no bitmap has a second bit.
 
     The first d found this way need not be the a of the canonically first
-    failing pair, so a failing verdict hands over to
-    :func:`_orthomodular_certificate`, which scans the identity from the
-    first element.  ``checked`` counts a's one-point extensions, n - |a|,
-    for each element a visited: every element when the law holds, and
-    those up to the certificate's a when it fails.
+    failing pair, so a failing verdict hands over to the exact scan of
+    :func:`_orthomodular_failure` from the first element.  A ppl whose
+    family is not built yet runs that scan on :func:`_t1_prefix` first,
+    and reads the family only if the prefix passes.  ``checked`` counts
+    a's one-point extensions, n - |a|, for each element a visited: every
+    element when the law holds, and those up to the certificate's a when
+    it fails.
     """
     t0 = time.perf_counter()
     _require_complement(ppl)
+    if not ppl.has_family:
+        cert, checked = _first_failure(ppl, _t1_prefix(ppl), _orthomodular_failure)
+        if cert is not None:
+            return _timed("orthomodular", False, cert, checked, t0)
     cs = ppl.cs
     masks, perp_mask = cs.masks, ppl.orth.perp_mask
     every = (1 << len(masks)) - 1
@@ -157,41 +195,40 @@ def check_orthomodular(ppl: PPL) -> AxiomReport:
             sup &= outside[low.bit_length() - 1]
             ap ^= low
         if sup & (sup - 1):
-            return _orthomodular_certificate(ppl, t0)
+            elements = ((a, [masks[k] for k in cs.one_point_extensions(a)]) for a in masks)
+            cert, checked = _first_failure(ppl, elements, _orthomodular_failure)
+            if cert is None:
+                raise InvariantViolationError(
+                    "the orthomodularity criterion fails but no pair a ⊆ b does")
+            return _timed("orthomodular", False, cert, checked, t0)
     checked = len(masks) * cs.n - sum(map(int.bit_count, masks))
     return _timed("orthomodular", True, None, checked, t0)
 
 
-def _orthomodular_certificate(ppl: PPL, t0: float) -> AxiomReport:
-    """The failing report of :func:`check_orthomodular`, for a failing lattice.
+def _orthomodular_failure(ppl: PPL, a: int, ext: list[int]) -> Certificate | None:
+    """The canonically first closed b ⊋ a with a ∨ (b ∧ a′) ≠ b, as a certificate.
 
     Only the one-point extensions B = cl(a ∪ {r}) need testing.  If
     (a, b) fails, d = a ∨ (b ∧ a′) is a closed subset of b other than b;
     take r in b∖d.  Then B = cl(a ∪ {r}) ⊆ b fails too: B ∧ a′ ⊆ b ∧ a′
     gives a ∨ (B ∧ a′) ⊆ d, which misses r.  B is canonically no later
     than b, being a subset of it, so for each a the canonically first
-    failing b is the canonically first failing one-point extension.  The
-    scan is a-major, so the certificate is the one an exhaustive scan of
-    all pairs a ⊆ b in canonical order reports.
+    failing b is the canonically first failing one-point extension.
+    Scanned a-major, the certificate is the one an exhaustive scan of all
+    pairs a ⊆ b in canonical order reports.
     """
-    cs = ppl.cs
-    masks, perp_mask = cs.masks, ppl.orth.perp_mask
-    checked = 0
-    for i, a in enumerate(masks):
-        oca = perp_mask(a)
-        ext = cs.one_point_extensions(a)
-        checked += cs.n - a.bit_count()
-        for j in sorted(set(ext) - {i}):  # b = a cannot fail: a ∧ a′ is the bottom
-            b = masks[j]
-            rebuilt = ppl.join_mask(a | (b & oca))
-            if rebuilt != b:
-                cert = Certificate("orthomodularity", (
-                    ("a", cs.element(i)),
-                    ("b", cs.element(j)),
-                    ("rebuilt", AtomSet(rebuilt, cs.n)),
-                ))
-                return _timed("orthomodular", False, cert, checked, t0)
-    raise InvariantViolationError("the orthomodularity criterion fails but no pair a ⊆ b does")
+    if not a:  # ∅ ∨ (b ∧ ⊤) = b
+        return None
+    n, oca = ppl.n, ppl.orth.perp_mask(a)
+    for b in sorted(set(ext) - {a}, key=canonical_key):  # b = a cannot fail: a ∧ a′ is the bottom
+        rebuilt = ppl.join_mask(a | (b & oca))
+        if rebuilt != b:
+            return Certificate("orthomodularity", (
+                ("a", AtomSet(a, n)),
+                ("b", AtomSet(b, n)),
+                ("rebuilt", AtomSet(rebuilt, n)),
+            ))
+    return None
 
 
 def check_covering_law(ppl: PPL) -> AxiomReport:
@@ -199,51 +236,69 @@ def check_covering_law(ppl: PPL) -> AxiomReport:
 
     The family must be T1 (``ValueError`` otherwise), as a valid PPL's
     is, so the atoms are the singletons {r} and a ∨ {r} = cl(a ∪ {r}).
-    That join covers a exactly when cl(a ∪ {s}) equals it for every s in
-    it outside a (the criterion of :meth:`ClosureSystem.upper_covers`).
+    Elements are tested one at a time in canonical order by
+    :func:`_covering_failure`: on :func:`_t1_prefix` first while the
+    family is not built, and on the whole family, from its first element,
+    if the prefix passes.  The certificate is the one an exhaustive scan
+    of the pairs and of the elements between reports.  ``checked`` counts
+    the one-point extensions computed.
+    """
+    t0 = time.perf_counter()
+    if not ppl.is_t1:
+        raise ValueError("the covering law is checked on T1 families only")
+    if not ppl.has_family:
+        cert, checked = _first_failure(ppl, _t1_prefix(ppl), _covering_failure)
+        if cert is not None:
+            return _timed("covering", False, cert, checked, t0)
+    cs = ppl.cs
+    masks = cs.masks
+    checked = 0
+    for a in masks:
+        ext = cs.one_point_extensions(a)
+        rest = cs.n - a.bit_count()
+        checked += rest
+        # the sum test of _covering_failure on element indices, which spares
+        # mapping every extension to its mask where a passes
+        if sum((masks[k] & ~a).bit_count() for k in set(ext)) != rest \
+                and (cert := _covering_failure(ppl, a, [masks[k] for k in ext])) is not None:
+            return _timed("covering", False, cert, checked, t0)
+    return _timed("covering", True, None, checked, t0)
 
-    An element a passes without the per-atom scan when the sizes |k∖a|
-    of its distinct one-point extensions k sum to |ground∖a|.  The sets
-    {r ∉ a : cl(a ∪ {r}) = k} partition ground∖a, and each lies inside
-    k∖a, so equal sums force every one of them to be all of k∖a: every
-    extension, and so every join a ∨ {r}, covers a.  Where the sum
-    differs, some extension cl(a ∪ {r}) fails to cover a, and it is a
-    join with an atom, so the law fails at a and the per-atom scan, over
-    r ∉ a in ascending order, only builds the certificate.
+
+def _covering_failure(ppl: PPL, a: int, ext: list[int]) -> Certificate | None:
+    """Why some join a ∨ {r}, r ∉ a, does not cover a, or None.
+
+    a ∨ {r} = cl(a ∪ {r}) covers a exactly when cl(a ∪ {s}) equals it for
+    every s in it outside a (the criterion of
+    :meth:`ClosureSystem.upper_covers`).  a passes without the per-atom
+    scan when the sizes |k∖a| of its distinct one-point extensions k sum
+    to |ground∖a|.  The sets {r ∉ a : cl(a ∪ {r}) = k} partition
+    ground∖a, and each lies inside k∖a, so equal sums force every one of
+    them to be all of k∖a: every extension, and so every join a ∨ {r},
+    covers a.  Where the sum differs, some extension cl(a ∪ {r}) fails to
+    cover a, and the per-atom scan, over r ∉ a in ascending order, only
+    builds the certificate.
 
     The canonically first element strictly between a and j = a ∨ {r} is
     the canonical minimum of the closures cl(a ∪ {s}) other than j, s in
     j∖a: any m strictly between contains one of them, which is
-    canonically no later than m.  The scan runs element-major (each a
-    against every atom it misses, in canonical order), so the certificate
-    is the one an exhaustive scan of the pairs and of the elements
-    between reports.  ``checked`` counts the one-point extensions
-    computed.
+    canonically no later than m.
     """
-    t0 = time.perf_counter()
-    cs = ppl.cs
-    if not cs.is_t1:
-        raise ValueError("the covering law is checked on T1 families only")
-    masks = cs.masks
-    checked = 0
-    for i, a in enumerate(masks):
-        ext = cs.one_point_extensions(a)
-        rest = cs.n - a.bit_count()
-        checked += rest
-        if sum((masks[k] & ~a).bit_count() for k in set(ext)) == rest:
-            continue
-        for r in mask_bits(masks[-1] & ~a):
-            jid = ext[r]
-            between = [ext[s] for s in mask_bits(masks[jid] & ~a) if ext[s] != jid]
-            if between:
-                cert = Certificate("covering-law", (
-                    ("p", cs.element(r + 1)),  # after the bottom ∅, {r} is element r + 1
-                    ("a", cs.element(i)),
-                    ("join", cs.element(jid)),
-                    ("between", cs.element(min(between))),
-                ))
-                return _timed("covering", False, cert, checked, t0)
-    return _timed("covering", True, None, checked, t0)
+    n = ppl.n
+    rest = ((1 << n) - 1) & ~a
+    if sum((k & ~a).bit_count() for k in set(ext)) == rest.bit_count():
+        return None
+    for r in mask_bits(rest):
+        j = ext[r]
+        between = [ext[s] for s in mask_bits(j & ~a) if ext[s] != j]
+        if between:
+            return Certificate("covering-law", (
+                ("p", AtomSet(1 << r, n)),
+                ("a", AtomSet(a, n)),
+                ("join", AtomSet(j, n)),
+                ("between", AtomSet(min(between, key=canonical_key), n)),
+            ))
+    return None
 
 
 def check_boolean(ppl: PPL) -> AxiomReport:
@@ -256,29 +311,56 @@ def check_boolean(ppl: PPL) -> AxiomReport:
     first closed A in canonical order and the lowest atom s with
     S = A ∪ {s} not closed, and the lowest r in cl(S) outside S: x = {r},
     y = A, z = {s} break distributivity, since x meet (y join z) = {r}
-    while (x meet y) join (x meet z) is empty.  ``checked`` counts the
-    (A, s) probes.
+    while (x meet y) join (x meet z) is empty.  A ppl whose family is not
+    built yet probes the A of :func:`_t1_prefix` first, by joins, S being
+    closed when cl(S) = S, and reads the family only if they pass.
+    ``checked`` counts the (A, s) probes.
+
+    A property lattice (``biorthogonal``) needs no family to hold: it is
+    Boolean exactly when any two distinct atoms are orthogonal.  If every
+    set is closed, the complement A of {p} is, and A = A⊥⊥ needs A⊥ ≠ ∅;
+    A⊥ misses A by antireflexivity, so A⊥ = {p} and p is orthogonal to
+    every other atom.  Conversely, then every A⊥ is the complement of A,
+    so A⊥⊥ = A.  The report is the full scan's, which makes
+    n·2**(n-1) probes on the powerset.
     """
     t0 = time.perf_counter()
     _require_complement(ppl)
+    n = ppl.n
+    full = (1 << n) - 1
+    if not ppl.has_family:
+        if ppl.biorthogonal and all(row | 1 << p == full for p, row in enumerate(ppl.orth.rows)):
+            return _timed("boolean", True, None, n << (n - 1), t0)
+        join = ppl.join_mask
+        checked = n  # A = ∅: every {s} is closed in a T1 family
+        for p in range(n):
+            for s in mask_bits(full & ~(1 << p)):
+                checked += 1
+                joined = 1 << p | 1 << s
+                if (closed := join(joined)) != joined:
+                    return _timed("boolean", False, _distributivity(1 << p, s, closed, n),
+                                  checked, t0)
     cs = ppl.cs
     idx = cs._index
-    full = (1 << cs.n) - 1
     checked = 0
-    for i, a in enumerate(cs.masks):
+    for a in cs.masks:
         for s in mask_bits(full & ~a):
             checked += 1
             joined = a | 1 << s
             if joined not in idx:
-                extra = cs.closure_mask(joined) & ~joined
-                r = (extra & -extra).bit_length() - 1
-                cert = Certificate("distributivity", (
-                    ("x", cs.element(idx[1 << r])),
-                    ("y", cs.element(i)),
-                    ("z", cs.element(idx[1 << s])),
-                ))
+                cert = _distributivity(a, s, cs.closure_mask(joined), n)
                 return _timed("boolean", False, cert, checked, t0)
     return _timed("boolean", True, None, checked, t0)
+
+
+def _distributivity(a: int, s: int, closed: int, n: int) -> Certificate:
+    """x = {r}, y = a, z = {s}, r the lowest atom of the closure ``closed`` of a ∪ {s} outside it."""
+    extra = closed & ~(a | 1 << s)
+    return Certificate("distributivity", (
+        ("x", AtomSet(extra & -extra, n)),
+        ("y", AtomSet(a, n)),
+        ("z", AtomSet(1 << s, n)),
+    ))
 
 
 def check_irreducible(ppl: PPL) -> AxiomReport:
@@ -316,7 +398,7 @@ def check_irreducible(ppl: PPL) -> AxiomReport:
     if len(components) == 1:
         return _timed("irreducible", True, None, ppl.n, t0)
     z = min(components, key=canonical_key)
-    cert = Certificate("central-element", (("z", ppl.cs.element(ppl.cs.id_of(z))),))
+    cert = Certificate("central-element", (("z", AtomSet(z, ppl.n)),))
     return _timed("irreducible", False, cert, ppl.n, t0)
 
 
@@ -335,7 +417,3 @@ def axiom_suite(ppl: PPL) -> tuple[AxiomReport | None, ...]:
     return (complement, check_orthomodular(ppl), check_covering_law(ppl),
             check_boolean(ppl), check_irreducible(ppl))
 
-
-def check_trivial(cs: ClosureSystem) -> bool:
-    """True iff the lattice has at most two elements."""
-    return len(cs) <= 2

@@ -98,11 +98,12 @@ def _backtrack(ppl: PPL, pins: dict[int, int], budget: _Budget,
     closed set is an intersection of meet-irreducibles (the top of none), and
     a bijection f has f(A ∩ B) = f(A) ∩ f(B).
 
-    On a property lattice (``ppl.biorthogonal``) no closed set is checked:
+    On a property lattice (``ppl.biorthogonal``) no closed set is checked,
+    and the family is not read:
     the family is exactly the sets A⊥⊥, and a bijection f that preserves
     orthogonality both ways has f(A⊥) = f(A)⊥, hence f(A⊥⊥) = f(A)⊥⊥.
     """
-    n, cs = ppl.n, ppl.cs
+    n = ppl.n
     colour, parts, _ = colours = colours or _atom_signatures(ppl)
     start = _pinned(colours, pins)
     if start is None:
@@ -111,6 +112,7 @@ def _backtrack(ppl: PPL, pins: dict[int, int], budget: _Budget,
     free = [a for a in range(n) if a not in pins]
     completes: list[list[int]] = [[] for _ in range(n)]
     if not ppl.biorthogonal:
+        cs = ppl.cs
         pinned = sum(1 << p for p in pins)
         for m in cs.meet_irreducibles:
             rest = m & ~pinned

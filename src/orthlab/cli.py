@@ -20,7 +20,6 @@ from typing import Iterator
 
 from . import catalog
 from .axioms import SUITE_AXIOMS, Certificate, axiom_suite
-from .closure import LatticeElement
 from .dot import export_dot
 from .errors import BudgetExceededError, CapacityError, OrthlabError, ParseError
 from .formats import (format_atom_set, parse_ppl, parse_statespace, sniff_format)
@@ -72,8 +71,7 @@ def as_ppl(obj: StateSpace | PPL) -> PPL:
 def _cert_text(cert: Certificate, labels: tuple[str, ...]) -> str:
     cols = [cert.kind]
     for name, val in cert.parts:
-        mask = val.atoms.bits if isinstance(val, LatticeElement) else val.bits
-        cols.append(f"{name}={format_atom_set(mask, labels)}")
+        cols.append(f"{name}={format_atom_set(val.bits, labels)}")
     return "\t".join(cols)
 
 
@@ -110,12 +108,13 @@ def cmd_validate(args) -> int:
 
 def cmd_lattice(args) -> int:
     ppl = as_ppl(load_source(args.src))
+    cs = ppl.cs  # built before any output, so a cap error leaves stdout empty
     if args.dot:
-        sys.stdout.write(export_dot(ppl.cs, ppl.labels))
+        sys.stdout.write(export_dot(cs, ppl.labels))
         return EXIT_OK
     print(f"atoms\t{ppl.n}")
-    print(f"elements\t{len(ppl.cs)}")
-    for i, m in enumerate(ppl.cs.masks):
+    print(f"elements\t{len(cs)}")
+    for i, m in enumerate(cs.masks):
         print(f"element\t{i}\t{format_atom_set(m, ppl.labels)}")
     return EXIT_OK
 
@@ -137,11 +136,12 @@ def cmd_product(args) -> int:
         ppl = property_lattice(separated_product(a, b))
     else:
         ppl = minimal_product(as_ppl(a), as_ppl(b))
+    cs = ppl.cs  # built before any output, so a cap error leaves stdout empty
     if args.dot:
-        sys.stdout.write(export_dot(ppl.cs, ppl.labels))
+        sys.stdout.write(export_dot(cs, ppl.labels))
         return EXIT_OK
     print(f"atoms\t{ppl.n}")
-    print(f"elements\t{len(ppl.cs)}")
+    print(f"elements\t{len(cs)}")
     if args.axioms:
         lines, core_ok = _axiom_lines(ppl)
         for line in lines:

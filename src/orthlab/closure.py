@@ -14,19 +14,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .bitset import GROUND_CAPACITY, AtomSet, permute_mask
+from .bitset import GROUND_CAPACITY, permute_mask
 from .errors import CapacityError
 
 #: Default cap on family size for generated closure systems.
 DEFAULT_FAMILY_CAP = 1_000_000
-
-
-@dataclass(frozen=True)
-class LatticeElement:
-    """A closed set together with its position in the canonical order."""
-
-    id: int
-    atoms: AtomSet
 
 
 @dataclass(frozen=True)
@@ -125,9 +117,6 @@ class ClosureSystem:
 
     def id_of(self, mask: int) -> int:
         return self._index[mask]
-
-    def element(self, i: int) -> LatticeElement:
-        return LatticeElement(i, AtomSet(self.masks[i], self.n))
 
     # -- lattice operations -----------------------------------------------
 

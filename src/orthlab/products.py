@@ -33,36 +33,42 @@ def cylinder1_mask(mask1: int, n1: int, n2: int) -> int:
 
 
 def cylinder2_mask(mask2: int, n1: int, n2: int) -> int:
-    """Sigma1 x G as a mask over pair indices."""
-    out = 0
-    for i in range(n1):
-        out |= mask2 << (i * n2)
-    return out
+    """Sigma1 x G as a mask over pair indices: G repeated in each of the
+    n1 blocks of n2 bits, a product with the repunit 1 + 2**n2 + ...,
+    which has no carries since G < 2**n2."""
+    return mask2 * (((1 << (n1 * n2)) - 1) // ((1 << n2) - 1))
 
 
 def product_orthogonality(o1: OrthoRelation, o2: OrthoRelation) -> OrthoRelation:
-    """Componentwise-disjunctive orthogonality on the flattened pair set."""
+    """Componentwise-disjunctive orthogonality on the flattened pair set.
+
+    When both factors pass the state-space checks the product passes
+    them too, so its checks are set, not scanned.  Antireflexivity and
+    symmetry hold componentwise.  For separation of (p1, p2) ≠ (q1, q2),
+    say p1 ≠ q1, take r1 orthogonal to p1 but not to q1: then (r1, q2) is
+    orthogonal to (p1, p2) but not to (q1, q2), since q2 is not
+    orthogonal to itself.  The case p2 ≠ q2 is symmetric.
+    """
     n1, n2 = o1.n, o2.n
     if n1 * n2 > GROUND_CAPACITY:
         raise CapacityError(
             f"product ground set of {n1}*{n2} atoms exceeds capacity {GROUND_CAPACITY}")
+    cyl2 = [cylinder2_mask(row, n1, n2) for row in o2.rows]
     rows = []
-    for p1 in range(n1):
-        c1 = cylinder1_mask(o1.rows[p1], n1, n2)
-        for p2 in range(n2):
-            rows.append(c1 | cylinder2_mask(o2.rows[p2], n1, n2))
-    return OrthoRelation(n1 * n2, tuple(rows))
+    for row in o1.rows:
+        c1 = cylinder1_mask(row, n1, n2)
+        rows.extend(c1 | c2 for c2 in cyl2)
+    orth = OrthoRelation(n1 * n2, tuple(rows))
+    if all(c.ok for c in o1.checks + o2.checks):
+        orth.__dict__["checks"] = o1.checks  # the three passing results
+    return orth
 
 
 def separated_product(ss1: StateSpace, ss2: StateSpace) -> StateSpace:
     """State space on the pair set with the product orthogonality.
 
-    The state-space axioms carry over from valid factors, so the output
-    is not re-checked.  Antireflexivity and symmetry hold componentwise.
-    For separation of (p1, p2) ≠ (q1, q2), say p1 ≠ q1, take r1
-    orthogonal to p1 but not to q1: then (r1, q2) is orthogonal to
-    (p1, p2) but not to (q1, q2), since q2 is not orthogonal to itself.
-    The case p2 ≠ q2 is symmetric.
+    The state-space axioms carry over from valid factors (see
+    :func:`product_orthogonality`), so the output is not re-checked.
     """
     ss1.require_valid()
     ss2.require_valid()
@@ -80,12 +86,38 @@ def minimal_product(ppl1: PPL, ppl2: PPL) -> PPL:
     with both meets closed, so the rectangles are closed under intersection.
     The family is T1 without a recheck: ∅ is a rectangle, and each
     {(p, q)} is {p} x {q}, with both factor singletons closed.
+
+    The family is built on the first read of ``cs``.  Joins never build
+    it: a rectangle F x G with nonempty sides contains a nonempty X
+    exactly when F ⊇ π₁X and G ⊇ π₂X, so cl(X) = cl₁(π₁X) x cl₂(π₂X),
+    and cl(∅) = ∅.  With a one-point factor {x} the product is the other
+    factor relabelled: its rectangles are {x} x G, and (x, p) ⊥ (x, q)
+    exactly when p ⊥ q, x not being orthogonal to itself.  So it is
+    ``biorthogonal`` when the other factor is.
     """
     ppl1.require_valid()
     ppl2.require_valid()
-    cs = rectangle_family(ppl1.cs, ppl2.cs)
     orth = product_orthogonality(ppl1.orth, ppl2.orth)
-    return PPL(cs=cs, orth=orth, labels=pair_labels(ppl1.labels, ppl2.labels))
+    n1, n2 = ppl1.n, ppl2.n
+    ones2 = (1 << n2) - 1
+    shifts = [i * n2 for i in range(n1)]
+    join1, join2 = ppl1.join_mask, ppl2.join_mask
+
+    def closure(mask: int) -> int:
+        if not mask:
+            return 0
+        rows1 = rows2 = 0
+        for i, shift in enumerate(shifts):
+            if row := mask >> shift & ones2:
+                rows1 |= 1 << i
+                rows2 |= row
+        return cylinder1_mask(join1(rows1), n1, n2) & cylinder2_mask(join2(rows2), n1, n2)
+
+    return PPL.lazy(lambda: rectangle_family(ppl1.cs, ppl2.cs), orth,
+                    pair_labels(ppl1.labels, ppl2.labels),
+                    biorthogonal=(ppl1.biorthogonal if n2 == 1 else
+                                  ppl2.biorthogonal if n1 == 1 else False),
+                    closure=closure)
 
 
 def rectangle_family(cs1: ClosureSystem, cs2: ClosureSystem) -> ClosureSystem:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .axioms import (check_boolean, check_covering_law, check_orthomodular, check_trivial,
+from .axioms import (check_boolean, check_covering_law, check_orthomodular,
                      find_compatible_orthocomplementation)
 from .catalog import SplitMix64, random_space
 from .errors import CouldNotSeparateError, ParseError
@@ -78,20 +78,26 @@ def _sep_orthomodular_nonboolean(ss1: StateSpace, ss2: StateSpace) -> str | None
 
 
 def _minimal_oc_nontrivial(ss1: StateSpace, ss2: StateSpace) -> str | None:
-    """Hit iff the minimal product admits a compatible complement with both factors nontrivial."""
-    ppls = [property_lattice(ss) for ss in (ss1, ss2)]
-    if any(check_trivial(p.cs) for p in ppls):
+    """Hit iff the minimal product admits a compatible complement with both factors nontrivial.
+
+    A factor is trivial, a lattice of at most two elements, exactly when
+    it has one atom: a T1 family on n ≥ 2 atoms holds ∅, the n singletons
+    and the full set.  So no lattice is built to decide it.
+    """
+    if ss1.n == 1 or ss2.n == 1:
         return None
+    ppls = [property_lattice(ss) for ss in (ss1, ss2)]
     if find_compatible_orthocomplementation(minimal_product(*ppls)).holds:
         return "minimal product admits a compatible orthocomplementation with nontrivial factors"
     return None
 
 
 def _minimal_covering_nontrivial(ss1: StateSpace, ss2: StateSpace) -> str | None:
-    """Hit iff the minimal product satisfies the covering law with both factors nontrivial."""
-    ppls = [property_lattice(ss) for ss in (ss1, ss2)]
-    if any(check_trivial(p.cs) for p in ppls):
+    """Hit iff the minimal product satisfies the covering law with both factors
+    nontrivial (two atoms each at least, as in :func:`_minimal_oc_nontrivial`)."""
+    if ss1.n == 1 or ss2.n == 1:
         return None
+    ppls = [property_lattice(ss) for ss in (ss1, ss2)]
     if check_covering_law(minimal_product(*ppls)).holds:
         return "minimal product satisfies the covering law with nontrivial factors"
     return None

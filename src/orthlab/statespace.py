@@ -14,9 +14,9 @@ constructions produce ppl's whose family is not the biorthogonal one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .bitset import mask_bits
 from .closure import DEFAULT_FAMILY_CAP, ClosureSystem, meet_closure
@@ -167,7 +167,6 @@ def validate_state_space(ss: StateSpace) -> ValidationReport:
     return ValidationReport(ss.orth.checks)
 
 
-@dataclass(frozen=True)
 class PPL:
     """A T1 closure system with an orthogonality on its atoms.
 
@@ -176,32 +175,76 @@ class PPL:
     and by ``parse_ppl`` when :func:`is_biorthogonal_family` says so);
     joins then take the double perp instead of the closure system's
     superset lookup.
+
+    The family ``cs`` is either given or, for a ppl made by :meth:`lazy`,
+    built on first read; a cap error then surfaces at that read.  Joins,
+    :attr:`n` and :meth:`validate` never read it, so a command that needs
+    only joins never builds the family.
     """
 
-    cs: ClosureSystem
-    orth: OrthoRelation
-    labels: tuple[str, ...]
-    biorthogonal: bool = field(default=False)
-
-    def __post_init__(self):
-        if not (self.cs.n == self.orth.n == len(self.labels)):
+    def __init__(self, cs: ClosureSystem, orth: OrthoRelation, labels: tuple[str, ...],
+                 biorthogonal: bool = False):
+        if cs.n != orth.n:
             raise ValueError("closure system, orthogonality, and labels disagree on size")
-        if len(set(self.labels)) != len(self.labels):
+        self.__dict__["cs"] = cs
+        self._init(orth, labels, biorthogonal, None)
+
+    @classmethod
+    def lazy(cls, build: Callable[[], ClosureSystem], orth: OrthoRelation,
+             labels: tuple[str, ...], *, biorthogonal: bool = False,
+             closure: Callable[[int], int] | None = None) -> "PPL":
+        """A ppl whose family is ``build()``, called on the first read of ``cs``.
+
+        Joins take double perp on a ``biorthogonal`` ppl, else ``closure``
+        when given, else the family's own closure, which builds it.  The
+        callers, :func:`property_lattice` and the minimal product, prove
+        their families T1, so :attr:`is_t1` holds without joins.
+        """
+        ppl = cls.__new__(cls)
+        ppl._build = build
+        ppl._init(orth, labels, biorthogonal, closure)
+        ppl.__dict__["is_t1"] = True
+        return ppl
+
+    def _init(self, orth: OrthoRelation, labels: tuple[str, ...], biorthogonal: bool,
+              closure: Callable[[int], int] | None) -> None:
+        if orth.n != len(labels):
+            raise ValueError("closure system, orthogonality, and labels disagree on size")
+        if len(set(labels)) != len(labels):
             raise ValueError("atom labels must be distinct")
+        self.orth, self.labels, self.biorthogonal = orth, labels, biorthogonal
+        self._closure = closure
+
+    @cached_property
+    def cs(self) -> ClosureSystem:
+        return self._build()
+
+    @property
+    def has_family(self) -> bool:
+        """Has the family been built (always, for a ppl given one)?"""
+        return "cs" in self.__dict__
 
     @property
     def n(self) -> int:
-        return self.cs.n
+        return self.orth.n
 
     def join_mask(self, mask: int) -> int:
         if self.biorthogonal:
             return self.orth.perp_mask(self.orth.perp_mask(mask))
+        if self._closure is not None:
+            return self._closure(mask)
         return self.cs.closure_mask(mask)
+
+    @cached_property
+    def is_t1(self) -> bool:
+        """Are ∅ and every singleton closed?  Read off joins, not the family."""
+        join = self.join_mask
+        return join(0) == 0 and all(join(1 << p) == 1 << p for p in range(self.n))
 
     def validate(self) -> ValidationReport:
         """The state-space checks on the orthogonality, plus T1 for the family."""
         return ValidationReport(
-            self.orth.checks + (CheckResult("t1", self.cs.is_t1, None),))
+            self.orth.checks + (CheckResult("t1", self.is_t1, None),))
 
     def require_valid(self) -> None:
         report = self.validate()
@@ -232,6 +275,9 @@ def is_biorthogonal_family(cs: ClosureSystem, orth: OrthoRelation) -> bool:
 def property_lattice(ss: StateSpace, *, max_family: int = DEFAULT_FAMILY_CAP) -> PPL:
     """Family of biorthogonally closed subsets of a valid state space.
 
+    The family is built on the first read of ``cs``, and the cap is
+    checked then; joins are double perp and never build it.
+
     Every closed set is an intersection of perp rows, so the family is the
     meet closure of the rows instead of a scan of all 2**n subsets.  Its
     members need no double-perp recheck: an intersection of the rows of
@@ -245,5 +291,5 @@ def property_lattice(ss: StateSpace, *, max_family: int = DEFAULT_FAMILY_CAP) ->
     """
     ss.require_valid()
     o = ss.orth
-    cs = meet_closure(o.rows, o.n, max_family=max_family)
-    return PPL(cs=cs, orth=o, labels=ss.labels, biorthogonal=True)
+    return PPL.lazy(lambda: meet_closure(o.rows, o.n, max_family=max_family), o, ss.labels,
+                    biorthogonal=True)

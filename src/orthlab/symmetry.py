@@ -14,10 +14,10 @@ first plane R of each gets probes, and t(R) moves R's stabilizer orbits by
 t, as Stab(t(R)) = t·Stab(R)·t⁻¹ (:class:`_PlaneOrbits`).  These tables give
 the verdict and the first pair without a witness.  A witness costs one
 probe, in the first plane whose orbits join p and q, and none for p = q:
-the identity in the first plane; ``witnesses=False`` builds none.  Group
-transitivity is atom 0's class under S.  Running out of budget raises
-:class:`BudgetExceededError`, an "unknown" outcome; the group, the tables
-and group transitivity share one budget, each witness probe has its own.
+the identity in the first plane; ``witnesses=False`` builds none.
+Running out of budget raises :class:`BudgetExceededError`, an "unknown"
+outcome; the group and the tables share one budget, each witness probe
+has its own.
 """
 
 from __future__ import annotations
@@ -358,13 +358,3 @@ def product_plane_witness(w1: PlaneWitness, w2: PlaneWitness, product: PPL) -> P
         raise InvariantViolationError(f"constructed product witness invalid: {defect}")
     return w
 
-
-def is_group_transitive(ppl: PPL, budget: int | None = DEFAULT_BUDGET) -> bool:
-    """Can every atom be carried to every other by some symmetry?
-
-    The symmetries form a group, so this holds exactly when the orbit of
-    atom 0 is every atom: the class of 0 under the strong generating set
-    of :func:`_group`, whose probes share one budget.
-    """
-    gens = _group(ppl, _Budget(budget), _atom_signatures(ppl))[1]
-    return _Orbits(ppl.n, gens).cls[0] == (1 << ppl.n) - 1

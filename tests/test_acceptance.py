@@ -52,7 +52,7 @@ def criterion(num: int, name: str, cap: float):
 
 
 def _bits(part) -> int:
-    return part.atoms.bits if hasattr(part, "atoms") else part.bits
+    return part.bits
 
 
 def _as_set(part) -> frozenset:

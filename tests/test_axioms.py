@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orthlab as O
 from orthlab import axioms
@@ -11,7 +13,6 @@ from orthlab.axioms import (
     check_covering_law,
     check_irreducible,
     check_orthomodular,
-    check_trivial,
     find_compatible_orthocomplementation,
 )
 from orthlab.statespace import is_biorthogonal_family
@@ -112,7 +113,7 @@ def test_minimal_product_has_no_orthocomplementation(b2_ppl):
 
 def test_certificate_part_lookup(b2_ppl):
     cert = find_compatible_orthocomplementation(O.minimal_product(b2_ppl, b2_ppl)).certificate
-    assert cert.part("atom").atoms.bits == 0b0001
+    assert cert.part("atom").bits == 0b0001
     with pytest.raises(KeyError):
         cert.part("nonexistent")
 
@@ -179,10 +180,10 @@ def test_complement_checkers_validate_other_families():
             check(ppl)
 
 
-def test_complement_guard_scans_without_the_public_checker(b1_ppl, mo2_ppl, monkeypatch):
-    # a minimal product with a one-point factor is not marked biorthogonal,
-    # so the guard scans; the public checker must not run (and be counted)
-    ppl = O.minimal_product(b1_ppl, mo2_ppl)
+def test_complement_guard_scans_without_the_public_checker(mo2_ppl, monkeypatch):
+    # the double-perp family given without the biorthogonal mark, so the
+    # guard scans; the public checker must not run (and be counted)
+    ppl = O.PPL(mo2_ppl.cs, mo2_ppl.orth, mo2_ppl.labels)
     assert not ppl.biorthogonal
     monkeypatch.setattr(axioms, "find_compatible_orthocomplementation", _raise)
     assert check_orthomodular(ppl).holds
@@ -215,8 +216,8 @@ def test_orthomodular_fails_on_the_separated_lantern_square(mo2):
     _, fam, complement = _oracle_world(ppl)
     assert ora.replay_orthomodular(
         fam, complement,
-        ora.mask_to_set(cert.part("a").atoms.bits),
-        ora.mask_to_set(cert.part("b").atoms.bits),
+        ora.mask_to_set(cert.part("a").bits),
+        ora.mask_to_set(cert.part("b").bits),
         ora.mask_to_set(cert.part("rebuilt").bits))
 
 
@@ -248,8 +249,8 @@ def test_orthomodular_agrees_with_oracle(random_batch):
             failures += 1
             cert = report.certificate
             a, b = min(violations, key=lambda ab: (_key(ab[0]), _key(ab[1])))
-            assert ora.mask_to_set(cert.part("a").atoms.bits) == a
-            assert ora.mask_to_set(cert.part("b").atoms.bits) == b
+            assert ora.mask_to_set(cert.part("a").bits) == a
+            assert ora.mask_to_set(cert.part("b").bits) == b
             assert ora.replay_orthomodular(fam, complement, a, b,
                                            ora.mask_to_set(cert.part("rebuilt").bits))
             first = min((x for x in fam if any(x < y and not y & complement[x] for y in fam)),
@@ -270,6 +271,8 @@ def _raise(*args, **kwargs):
 
 def test_orthomodular_verdict_needs_no_join_where_the_law_holds(monkeypatch):
     lattices = _law_holding_lattices()
+    for ppl in lattices:  # a family not yet built is first scanned on its T1 prefix, by joins
+        assert ppl.cs
     monkeypatch.setattr(O.PPL, "join_mask", _raise)
     for ppl in lattices:
         assert check_orthomodular(ppl).holds
@@ -290,10 +293,10 @@ def test_covering_fails_on_the_minimal_product_with_frozen_certificate(b2_ppl):
     cert = report.certificate
     assert cert.kind == "covering-law"
     # atom (b,b); element {(a,a)}; join is everything; {(a,a),(a,b)} sits between
-    assert cert.part("p").atoms.bits == 0b1000
-    assert cert.part("a").atoms.bits == 0b0001
-    assert cert.part("join").atoms.bits == 0b1111
-    assert cert.part("between").atoms.bits == 0b0011
+    assert cert.part("p").bits == 0b1000
+    assert cert.part("a").bits == 0b0001
+    assert cert.part("join").bits == 0b1111
+    assert cert.part("between").bits == 0b0011
     _, fam, _ = _oracle_world(prod)
     assert ora.replay_covering(
         fam,
@@ -319,7 +322,7 @@ def test_covering_agrees_with_oracle(random_batch):
             p, a = min(violations, key=lambda pa: (_key(pa[1]), _key(pa[0])))
             join = ora.family_join(fam, a, p)
             between = min((m for m in fam if a < m < join), key=_key)
-            got = [ora.mask_to_set(cert.part(k).atoms.bits) for k in ("p", "a", "join", "between")]
+            got = [ora.mask_to_set(cert.part(k).bits) for k in ("p", "a", "join", "between")]
             assert got == [p, a, join, between]
     assert 0 < failures < len(lattices)
 
@@ -354,9 +357,9 @@ def test_boolean_failure_certificate_replays(mo2_ppl):
     _, fam, _ = _oracle_world(mo2_ppl)
     assert ora.replay_distributivity(
         fam,
-        ora.mask_to_set(cert.part("x").atoms.bits),
-        ora.mask_to_set(cert.part("y").atoms.bits),
-        ora.mask_to_set(cert.part("z").atoms.bits))
+        ora.mask_to_set(cert.part("x").bits),
+        ora.mask_to_set(cert.part("y").bits),
+        ora.mask_to_set(cert.part("z").bits))
 
 
 def test_boolean_agrees_with_oracle(random_batch):
@@ -375,7 +378,7 @@ def test_boolean_agrees_with_oracle(random_batch):
             cert = report.certificate
             assert cert.kind == "distributivity"
             assert ora.replay_distributivity(
-                fam, *(ora.mask_to_set(cert.part(k).atoms.bits) for k in "xyz"))
+                fam, *(ora.mask_to_set(cert.part(k).bits) for k in "xyz"))
     assert failures > 0
 
 
@@ -392,7 +395,7 @@ def test_boolean_square_splits(b2_ppl):
     assert not report.holds
     cert = report.certificate
     assert cert.kind == "central-element"
-    assert cert.part("z").atoms.bits == 0b01  # the singleton {a} is central
+    assert cert.part("z").bits == 0b01  # the singleton {a} is central
 
 
 def test_irreducible_agrees_with_oracle(random_batch):
@@ -407,9 +410,69 @@ def test_irreducible_agrees_with_oracle(random_batch):
         report = check_irreducible(ppl)
         assert report.holds == (not nontrivial)
         if not report.holds:
-            assert ora.mask_to_set(report.certificate.part("z").atoms.bits) == nontrivial[0]
+            assert ora.mask_to_set(report.certificate.part("z").bits) == nontrivial[0]
 
 
-def test_trivial_verdicts(b1_ppl, b2_ppl):
-    assert check_trivial(b1_ppl.cs)
-    assert not check_trivial(b2_ppl.cs)
+# ---------------------------------------------------------------------------
+# families built on first read: a fresh ppl reports as one whose family is read
+
+CHECKERS = (find_compatible_orthocomplementation, check_orthomodular, check_covering_law,
+            check_boolean, check_irreducible)
+
+
+def _outcome(check, ppl):
+    """Verdict, certificate and count of ``check`` on ``ppl``, or the error it raises."""
+    try:
+        report = check(ppl)
+    except ValueError as exc:
+        return type(exc)
+    return report.holds, report.certificate, report.stats.checked
+
+
+def _fresh_failures(make):
+    """Check that every checker reports the same on a fresh ``make()`` as on
+    one whose family was read first; the checkers that failed it unread."""
+    early = set()
+    for check in CHECKERS:
+        fresh, read = make(), make()
+        assert read.cs and not fresh.has_family
+        got = _outcome(check, fresh)
+        assert got == _outcome(check, read)
+        if not fresh.has_family and isinstance(got, tuple) and not got[0]:
+            early.add(check)
+    return early
+
+
+def _lazily(ppl):
+    """A maker of ppl's with ``ppl``'s family and joins, the family unread."""
+    cs = ppl.cs
+    return lambda: O.PPL.lazy(lambda: cs, ppl.orth, ppl.labels, closure=cs.closure_mask)
+
+
+def test_checkers_report_alike_before_and_after_the_family_is_read(random_batch):
+    makers = [lambda ss=ss: O.property_lattice(ss) for ss in random_batch]
+    for a, b in _small_pairs(random_batch):
+        makers.append(lambda a=a, b=b: O.property_lattice(O.separated_product(a, b)))
+        makers.append(lambda a=a, b=b: O.minimal_product(O.property_lattice(a),
+                                                         O.property_lattice(b)))
+    makers += [lambda args=args: O.property_lattice(O.random_space(*args))
+               for args in LATE_CRITERION]
+    t1 = _t1_ppls(23, 120)
+    makers += [_lazily(ppl) for ppl in t1]
+    makers += [lambda a=a, b=b: O.minimal_product(a, b) for a, b in zip(t1[:40], t1[40:80])
+               if a.n * b.n <= 16]
+    early = set().union(*map(_fresh_failures, makers))
+    assert early == set(CHECKERS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.lists(st.integers(0, 63), max_size=6), st.integers(0, 10 ** 6),
+       st.sampled_from((0.3, 0.5, 0.7)))
+def test_checkers_report_alike_on_hypothesis_families(n, gens, seed, density):
+    try:
+        ss = O.random_space(n, density, seed)
+    except O.CouldNotSeparateError:
+        return
+    rows = [row for p, row in enumerate(ss.orth.rows) if seed >> p & 1]
+    masks = [g & ((1 << n) - 1) for g in gens] + rows + [1 << p for p in range(n)] + [0]
+    _fresh_failures(_lazily(O.PPL(O.meet_closure(masks, n), ss.orth, ss.labels)))

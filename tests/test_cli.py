@@ -1,5 +1,7 @@
 """End-to-end command line behavior, run in process."""
 
+import math
+
 import pytest
 
 import orthlab as O
@@ -333,3 +335,45 @@ def test_search_bad_spec_is_invalid_input(run, tmp_path):
     spec.write_text("search v1\ntarget nope\ncount 1\n")
     assert run("search", str(spec))[0] == 2
     assert run("search", str(tmp_path / "missing.search"))[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# a closed family is built only where the command reads it
+
+CAP_ERROR = "error\tclosure family exceeds cap of 1000000 sets"
+
+
+def test_symmetry_count_needs_no_family(run):
+    code, out, _ = run("symmetries", "gen:boolean:64", "--count-only")
+    assert (code, out) == (0, [f"count\t{math.factorial(64)}"])
+
+
+def test_plane_transitivity_needs_no_family(run):
+    code, out, _ = run("plane", "gen:boolean:32")
+    assert (code, out) == (0, ["plane-transitive\ttrue"])
+
+
+def test_passing_axioms_read_the_whole_family(run):
+    code, out, err = run("axioms", "gen:boolean:20")
+    assert (code, out, err.splitlines()) == (3, [], [CAP_ERROR])
+
+
+@pytest.mark.parametrize("argv", [
+    ("lattice", "gen:boolean:20"),
+    ("lattice", "gen:boolean:20", "--dot"),
+    ("product", "gen:boolean:4", "gen:boolean:5", "--separated"),
+])
+def test_a_family_over_the_cap_leaves_stdout_empty(run, argv):
+    code, out, err = run(*argv)
+    assert (code, out, err.splitlines()) == (3, [], [CAP_ERROR])
+
+
+@pytest.mark.parametrize("target", sorted(TARGETS))
+def test_search_answers_at_eight_states(run, tmp_path, target):
+    spec = tmp_path / "s.search"
+    spec.write_text(f"search v1\ntarget {target}\ncount 200\nnmax 8\nseed 1\n")
+    code, out, err = run("search", str(spec))
+    assert (code, err) == (0, "")
+    assert len(out) == 201
+    assert {line.split("\t")[9] for line in out[:-1]} <= {"pass", "invalid"}
+    assert out[-1].startswith("summary\tcount\t200\thits\t0\t")

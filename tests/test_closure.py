@@ -137,14 +137,12 @@ def test_closure_extensions_and_covers_match_oracle_everywhere(case):
     fam = family_to_sets(cs.masks)
     for x in range(1 << n):
         assert mask_to_set(cs.closure_mask(x)) == family_closure(fam, mask_to_set(x))
-    elements = [cs.element(i) for i in range(len(cs))]
-    for e in elements:
-        a = e.atoms.bits
+    for a in cs.masks:
         ext = cs.one_point_extensions(a)
         assert [mask_to_set(cs.masks[k]) for k in ext] == \
             [family_closure(fam, mask_to_set(a | 1 << r)) for r in range(n)]
-        expected = {f.id for f in elements
-                    if covers(fam, mask_to_set(a), mask_to_set(f.atoms.bits))}
+        expected = {j for j, f in enumerate(cs.masks)
+                    if covers(fam, mask_to_set(a), mask_to_set(f))}
         assert cs.upper_covers(a) == expected
 
 
@@ -217,10 +215,8 @@ def test_covers_in_a_boolean_cube(b3_ppl):
 def test_element_lookup_and_iteration(b3_ppl):
     cs = b3_ppl.cs
     assert len(cs) == 8
-    assert [cs.element(i).id for i in range(len(cs))] == list(range(8))
-    e = cs.element(3)
-    assert cs.id_of(e.atoms.bits) == 3
-    assert e.atoms.bits in cs
+    assert [cs.id_of(m) for m in cs.masks] == list(range(8))
+    assert cs.masks[3] in cs
     assert cs.masks[0] == 0
     assert cs.masks[-1] == 0b111
 

@@ -3,6 +3,7 @@
 import pytest
 
 import orthlab as O
+from orthlab import axioms
 from orthlab.errors import CapacityError, InvalidInstanceError
 from orthlab.products import (
     cylinder1_mask,
@@ -109,6 +110,46 @@ def test_one_point_factor_is_neutral(b1_ppl, mo2_ppl):
     assert prod.cs.masks == mo2_ppl.cs.masks
     assert prod.labels == ("(a,a1)", "(a,a2)", "(a,b1)", "(a,b2)")
     assert prod.orth.rows == mo2_ppl.orth.rows
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("the complement scan ran on a biorthogonal product")
+
+
+def test_one_point_factor_keeps_the_biorthogonal_mark(b1_ppl, b2_ppl, mo2_ppl, monkeypatch):
+    assert O.minimal_product(b1_ppl, mo2_ppl).biorthogonal
+    assert O.minimal_product(mo2_ppl, b1_ppl).biorthogonal
+    assert not O.minimal_product(b2_ppl, mo2_ppl).biorthogonal
+    unmarked = O.PPL(mo2_ppl.cs, mo2_ppl.orth, mo2_ppl.labels)
+    assert not O.minimal_product(b1_ppl, unmarked).biorthogonal
+    expected = [r.holds for r in O.axiom_suite(mo2_ppl)]
+    monkeypatch.setattr(axioms, "_complement_failure", _raise)
+    assert [r.holds for r in O.axiom_suite(O.minimal_product(b1_ppl, mo2_ppl))] == expected
+
+
+def test_product_checks_are_set_exactly_for_valid_factors(random_batch):
+    bad = O.OrthoRelation.from_pairs(3, [(0, 2), (1, 2)])  # not separating
+    pairs = [(a.orth, b.orth) for a, b in zip(random_batch[:12], random_batch[12:24])]
+    pairs += [(bad, O.boolean_space(2).orth), (O.boolean_space(2).orth, bad)]
+    for o1, o2 in pairs:
+        prod = product_orthogonality(o1, o2)
+        assert prod.checks == O.OrthoRelation(prod.n, prod.rows).checks  # a fresh scan
+    assert not all(c.ok for c in prod.checks)
+
+
+def test_minimal_product_joins_without_its_family(b1_ppl, b2_ppl, mo2_ppl, random_batch):
+    t1 = O.PPL(O.ClosureSystem.from_masks(3, [0, 1, 2, 4, 3, 7]),  # not biorthogonal
+               O.OrthoRelation.from_pairs(3, [(0, 1), (0, 2), (1, 2)]), ("a", "b", "c"))
+    factors = [b1_ppl, b2_ppl, mo2_ppl, t1]
+    factors += [O.property_lattice(ss) for ss in random_batch[2:5]]
+    for ppl1 in factors:
+        for ppl2 in factors:
+            if ppl1.n * ppl2.n > 12:
+                continue
+            prod = O.minimal_product(ppl1, ppl2)
+            joins = [prod.join_mask(x) for x in range(1 << prod.n)]
+            assert not prod.has_family
+            assert joins == [prod.cs.closure_mask(x) for x in range(1 << prod.n)]
 
 
 def test_minimal_product_atoms_are_pair_singletons(mo2_ppl, b2_ppl):

@@ -121,13 +121,14 @@ def test_mine_counterexamples_small_run():
 
 
 @pytest.mark.parametrize("args, code, error", [
-    # seed 36 draws a 7-state factor pair whose separated product's property
-    # lattice exceeds the family cap
-    (("--nmax", "7", "--count", "1", "--seed", "36",
-      "--target", "separated-orthomodular-nonboolean"),
-     3, "error\tclosure family exceeds cap of 1000000 sets"),
+    # seed 5 draws a 9-state and an 8-state factor, and their product of 72
+    # atoms exceeds the ground-set capacity (the searches decide every
+    # instance from joins, so no family of theirs meets the family cap)
+    (("--nmax", "9", "--count", "1", "--seed", "5",
+      "--target", "minimal-covering-nontrivial"),
+     3, "error\tproduct ground set of 9*8 atoms exceeds capacity 64"),
     (("--count", "-1"), 2, "error\tcount must be >= 0 and nmax >= 1"),
-], ids=["family-cap", "invalid-count"])
+], ids=["capacity", "invalid-count"])
 def test_mine_counterexamples_errors_exit_like_the_cli(args, code, error):
     proc = _run_script("mine_counterexamples.py", *args)
     assert proc.returncode == code, proc.stderr

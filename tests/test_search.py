@@ -3,6 +3,7 @@
 import pytest
 
 import orthlab as O
+from orthlab import products, search, statespace
 from orthlab.catalog import SplitMix64
 from orthlab.errors import ParseError
 from orthlab.search import (
@@ -96,6 +97,33 @@ def test_targets_report_no_hits_on_small_batches(target):
     report = run_search(SearchSpec(target, 30, nmax=3, density=0.5, seed=17))
     assert report.hits == ()
     assert all(r.status in ("pass", "invalid") for r in report.instances)
+
+
+def _family_read(build):
+    """``build`` with the family of each ppl it returns read at once."""
+    def built(*args):
+        ppl = build(*args)
+        assert ppl.cs
+        return ppl
+    return built
+
+
+def _no_family(*args, **kwargs):
+    raise AssertionError("a closed family was built")
+
+
+@pytest.mark.parametrize("target", sorted(TARGETS))
+def test_seeded_search_decides_every_instance_without_a_family(target, monkeypatch):
+    # the benchmark's specs: every instance is decided on joins alone, and
+    # the report is the one the full-family checkers give
+    spec = SearchSpec(target, 300, nmax=5, density=0.5, seed=1)
+    with monkeypatch.context() as m:
+        m.setattr(search, "property_lattice", _family_read(O.property_lattice))
+        m.setattr(search, "minimal_product", _family_read(O.minimal_product))
+        forced = run_search(spec)
+    monkeypatch.setattr(statespace, "meet_closure", _no_family)
+    monkeypatch.setattr(products, "rectangle_family", _no_family)
+    assert run_search(spec) == forced
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,7 @@ def test_property_lattice_rejects_invalid_space():
 
 def test_property_lattice_family_cap(b4):
     with pytest.raises(CapacityError):
-        O.property_lattice(b4, max_family=10)
+        O.property_lattice(b4, max_family=10).cs
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from orthlab.symmetry import (
     count_symmetries,
     enumerate_symmetries,
     find_plane_symmetry,
-    is_group_transitive,
     is_plane_transitive,
     product_plane_witness,
     symmetry_failure,
@@ -407,40 +406,6 @@ def test_product_plane_witness_verifies_itself(b4_ppl):
 
 
 # ---------------------------------------------------------------------------
-# group transitivity (no plane constraint)
-
-def test_group_transitivity(b3_ppl, b4_ppl, mo2_ppl):
-    for ppl in (b3_ppl, b4_ppl, mo2_ppl):
-        orth, fam = _orth_and_family(ppl)
-        grp = ora.all_symmetries(orth, fam)
-        brute = all(any(perm[p] == q for perm in grp)
-                    for p in range(ppl.n) for q in range(ppl.n))
-        assert is_group_transitive(ppl) == brute
-        assert is_group_transitive(ppl)  # all three are transitive
-
-
-def test_group_transitivity_fails_with_unbalanced_degrees():
-    # an orthogonal pair next to an orthogonal triangle: no symmetry can
-    # carry a degree-1 atom onto a degree-2 atom
-    ss = O.StateSpace(("a", "b", "c", "d", "e"),
-                      O.OrthoRelation.from_pairs(5, [(0, 4), (1, 2), (1, 3), (2, 3)]))
-    ppl = O.property_lattice(ss)
-    assert not is_group_transitive(ppl)
-
-
-def test_group_transitivity_matches_oracle_on_products_and_random_families():
-    # a star centred on atom 1: the orbit of atom 0 is every atom but 1
-    star = O.PPL(O.ClosureSystem.from_masks(4, range(16)),
-                 O.OrthoRelation.from_pairs(4, [(1, 0), (1, 2), (1, 3)]),
-                 ("a", "b", "c", "d"))
-    for ppl in [star] + _small_products() + _random_families():
-        orth, fam = _orth_and_family(ppl)
-        group = ora.all_symmetries(orth, fam)
-        orbit_of_0 = {f[0] for f in group}
-        assert is_group_transitive(ppl) == (len(orbit_of_0) == ppl.n)
-
-
-# ---------------------------------------------------------------------------
 # orbit records: a search skips only the probes whose answers are known
 
 def _probe_key(pins):
@@ -553,32 +518,7 @@ def test_orbit_records_skip_only_implied_probes(probes, b4_ppl, mo3_ppl, random_
         assert count_symmetries(ppl, budget=None) == order
         assert not Counter(probes) - Counter(calls)
         skipped += len(calls) - len(probes)
-
-        # group transitivity reads the group's generators: the same probes
-        probes.clear()
-        transitive = is_group_transitive(ppl, budget=None)
-        assert probes == group
-        orbit_of_0 = {f[0] for f in ora.symmetries_by_extension(*_orth_and_family(ppl))}
-        assert transitive == (len(orbit_of_0) == ppl.n)
     assert skipped > 0
-
-
-def test_group_transitivity_shares_the_budget_of_the_group(mo3):
-    # one budget for every probe: both run out exactly when the whole
-    # group needs more nodes than the budget, at the same probe
-    ppl = O.property_lattice(O.separated_product(mo3, mo3))
-    spent = _Budget(None)
-    S._group(ppl, spent, _atom_signatures(ppl))
-    for budget in (1, spent.spent // 10, spent.spent - 1):
-        with pytest.raises(BudgetExceededError) as counted:
-            count_symmetries(ppl, budget=budget)
-        with pytest.raises(BudgetExceededError) as grouped:
-            is_group_transitive(ppl, budget=budget)
-        assert grouped.value.query is not None
-        assert grouped.value.query == counted.value.query
-        assert str(grouped.value) == str(counted.value)
-    assert count_symmetries(ppl, budget=spent.spent) == 4_608
-    assert is_group_transitive(ppl, budget=spent.spent)
 
 
 def test_orbit_record_keeps_classes_apart_through_merges(probes):
@@ -606,12 +546,10 @@ def test_orbit_record_keeps_classes_apart_through_merges(probes):
 
 
 def test_orbit_records_answer_where_per_pair_probes_ran_out(mo3):
-    # both used up a 1M-node budget when every pair got its own probe
+    # it used up a 1M-node budget when every pair got its own probe
     mo3_ppl = O.property_lattice(mo3)
     assert count_symmetries(O.minimal_product(mo3_ppl, mo3_ppl), budget=1_000_000) \
         == 2 * 48 ** 2
-    assert is_group_transitive(O.property_lattice(O.separated_product(mo3, mo3)),
-                               budget=1_000_000)
 
 
 # ---------------------------------------------------------------------------
