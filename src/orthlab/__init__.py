@@ -3,7 +3,7 @@
 from .bitset import GROUND_CAPACITY, AtomSet
 from .closure import DEFAULT_FAMILY_CAP, ClosureSystem, meet_closure
 from .statespace import (PPL, CheckResult, OrthoRelation, StateSpace, ValidationReport,
-                         property_lattice, validate_state_space)
+                         property_lattice)
 from .axioms import (AxiomReport, Certificate, CheckStats, axiom_suite, check_boolean,
                      check_covering_law, check_irreducible, check_orthomodular,
                      find_compatible_orthocomplementation)

@@ -8,10 +8,10 @@ connection guarantees on a valid input is proved in the checker's
 docstring instead of scanned.  Scans run in the canonical order, so the
 first counterexample found is deterministic.  The orthomodularity,
 covering and distributivity checkers decide a failure on the first n + 1
-elements, ∅ and the singletons, from joins alone while the family is not
-built, and read the family only where those pass.  Certificates carry the
-atom sets involved; replaying one against the same instance must
-reproduce the violation.
+elements, ∅ and the singletons, from joins alone (the first two only
+while the family is not built), and read the family only where those
+pass.  Certificates carry the atom sets involved; replaying one against
+the same instance must reproduce the violation.
 """
 
 from __future__ import annotations
@@ -302,65 +302,53 @@ def _covering_failure(ppl: PPL, a: int, ext: list[int]) -> Certificate | None:
 
 
 def check_boolean(ppl: PPL) -> AxiomReport:
-    """Distributivity, decided by membership.
+    """Distributivity: is the family the full powerset?
 
     A family with a compatible complement is T1, and a T1 family is
-    distributive exactly when it is the full powerset (Birkhoff).  If every
-    A ∪ {s} with A closed is closed, induction from the empty set closes
-    every subset, so the scan below decides that.  Otherwise take the
-    first closed A in canonical order and the lowest atom s with
-    S = A ∪ {s} not closed, and the lowest r in cl(S) outside S: x = {r},
-    y = A, z = {s} break distributivity, since x meet (y join z) = {r}
-    while (x meet y) join (x meet z) is empty.  A ppl whose family is not
-    built yet probes the A of :func:`_t1_prefix` first, by joins, S being
-    closed when cl(S) = S, and reads the family only if they pass.
-    ``checked`` counts the (A, s) probes.
+    distributive exactly when it is the full powerset (Birkhoff).  It is
+    also the double-perp family (see :func:`_complement_failure`), and
+    that is the powerset exactly when any two distinct atoms are
+    orthogonal.  If every set is closed, the complement A of {p} is, and
+    A = A⊥⊥ needs A⊥ ≠ ∅; A⊥ misses A by antireflexivity, so A⊥ = {p}
+    and p is orthogonal to every other atom.  Conversely, then every A⊥
+    is the complement of A, so A⊥⊥ = A.  So the verdict reads the rows,
+    never the family.
 
-    A property lattice (``biorthogonal``) needs no family to hold: it is
-    Boolean exactly when any two distinct atoms are orthogonal.  If every
-    set is closed, the complement A of {p} is, and A = A⊥⊥ needs A⊥ ≠ ∅;
-    A⊥ misses A by antireflexivity, so A⊥ = {p} and p is orthogonal to
-    every other atom.  Conversely, then every A⊥ is the complement of A,
-    so A⊥⊥ = A.  The report is the full scan's, which makes
-    n·2**(n-1) probes on the powerset.
+    A failure gets its certificate from the probes (A, s): A closed in
+    canonical order, s an atom outside A, S = A ∪ {s}.  If every S were
+    closed, induction from the empty set would close every subset, so
+    some probe finds S not closed; at the first, with r the lowest atom
+    of cl(S) outside S, x = {r}, y = A, z = {s} break distributivity,
+    since x meet (y join z) = {r} while (x meet y) join (x meet z) is
+    empty.  S is closed when its join cl(S) is S, and the family is read
+    only for the A past :func:`_t1_prefix`.  ``checked`` counts the
+    (A, s) probes, which the report of a passing family gives as the
+    n·2**(n-1) a scan of the powerset makes.
     """
     t0 = time.perf_counter()
     _require_complement(ppl)
     n = ppl.n
     full = (1 << n) - 1
-    if not ppl.has_family:
-        if ppl.biorthogonal and all(row | 1 << p == full for p, row in enumerate(ppl.orth.rows)):
-            return _timed("boolean", True, None, n << (n - 1), t0)
-        join = ppl.join_mask
-        checked = n  # A = ∅: every {s} is closed in a T1 family
-        for p in range(n):
-            for s in mask_bits(full & ~(1 << p)):
-                checked += 1
-                joined = 1 << p | 1 << s
-                if (closed := join(joined)) != joined:
-                    return _timed("boolean", False, _distributivity(1 << p, s, closed, n),
-                                  checked, t0)
-    cs = ppl.cs
-    idx = cs._index
-    checked = 0
-    for a in cs.masks:
+    if all(row | 1 << p == full for p, row in enumerate(ppl.orth.rows)):
+        return _timed("boolean", True, None, n << (n - 1), t0)
+    join = ppl.join_mask
+
+    def probed():  # the A past ∅: singletons, then the family past the T1 prefix
+        yield from (1 << p for p in range(n))
+        yield from ppl.cs.masks[n + 1:]
+
+    checked = n  # A = ∅: every {s} is closed in a T1 family
+    for a in probed():
         for s in mask_bits(full & ~a):
             checked += 1
             joined = a | 1 << s
-            if joined not in idx:
-                cert = _distributivity(a, s, cs.closure_mask(joined), n)
-                return _timed("boolean", False, cert, checked, t0)
-    return _timed("boolean", True, None, checked, t0)
-
-
-def _distributivity(a: int, s: int, closed: int, n: int) -> Certificate:
-    """x = {r}, y = a, z = {s}, r the lowest atom of the closure ``closed`` of a ∪ {s} outside it."""
-    extra = closed & ~(a | 1 << s)
-    return Certificate("distributivity", (
-        ("x", AtomSet(extra & -extra, n)),
-        ("y", AtomSet(a, n)),
-        ("z", AtomSet(1 << s, n)),
-    ))
+            if (extra := join(joined) & ~joined):
+                return _timed("boolean", False, Certificate("distributivity", (
+                    ("x", AtomSet(extra & -extra, n)),
+                    ("y", AtomSet(a, n)),
+                    ("z", AtomSet(1 << s, n)),
+                )), checked, t0)
+    raise InvariantViolationError("the family is not the powerset but every probe closes")
 
 
 def check_irreducible(ppl: PPL) -> AxiomReport:

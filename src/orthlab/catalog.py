@@ -96,7 +96,8 @@ def random_space(n: int, density: float, seed: int) -> StateSpace:
     :meth:`SplitMix64.next_u64` inlined.  A float draw x·2**-53, x being
     the top 53 bits of the output u, lies below the density d exactly when
     x < ⌈d·2**53⌉ (x is an integer and d·2**53 is exact), that is when
-    u < ⌈d·2**53⌉·2**11, so the comparison stays on integers.
+    u < ⌈d·2**53⌉·2**11, so the comparison stays on integers.  The rows
+    are symmetric and antireflexive as drawn, and separating when kept.
     """
     _check_n(n)
     if not 0.0 <= density <= 1.0:
@@ -115,7 +116,8 @@ def random_space(n: int, density: float, seed: int) -> StateSpace:
                 rows[p] |= bit_q
                 rows[q] |= bit_p
         if _separation_failure(rows) is None:
-            return StateSpace(tuple(f"s{i}" for i in range(n)), OrthoRelation(n, tuple(rows)))
+            return StateSpace(tuple(f"s{i}" for i in range(n)),
+                              OrthoRelation._proven(n, tuple(rows)))
     raise CouldNotSeparateError(
         f"no separating relation after {MAX_SEPARATION_ATTEMPTS} attempts "
         f"(n={n}, density={density}, seed={seed})")

@@ -22,10 +22,10 @@ from . import catalog
 from .axioms import SUITE_AXIOMS, Certificate, axiom_suite
 from .dot import export_dot
 from .errors import BudgetExceededError, CapacityError, OrthlabError, ParseError
-from .formats import (format_atom_set, parse_ppl, parse_statespace, sniff_format)
+from .formats import _tokenize, format_atom_set, parse_ppl, parse_statespace, sniff_format
 from .products import minimal_product, separated_product
 from .search import parse_search_spec, render_report, run_search
-from .statespace import PPL, StateSpace, property_lattice, validate_state_space
+from .statespace import PPL, StateSpace, property_lattice
 from .symmetry import (DEFAULT_BUDGET, count_symmetries, enumerate_symmetries,
                        is_plane_transitive)
 
@@ -61,7 +61,8 @@ def load_source(src: str, *, validate: bool = True) -> StateSpace | PPL:
         return parse_statespace(text, validate=validate)
     if kind == "ppl":
         return parse_ppl(text, validate=validate)
-    raise ParseError(f"unrecognized document type {kind!r}", 1, 1)
+    _, line, col = _tokenize(text)[0][0]
+    raise ParseError(f"unrecognized document type {kind!r}", line, col)
 
 
 def as_ppl(obj: StateSpace | PPL) -> PPL:
@@ -75,27 +76,38 @@ def _cert_text(cert: Certificate, labels: tuple[str, ...]) -> str:
     return "\t".join(cols)
 
 
-def _axiom_lines(ppl: PPL) -> tuple[list[str], bool]:
-    """Report lines for the axiom suite and whether the core axioms hold.
+def _print_axioms(ppl: PPL) -> int:
+    """Print the axiom suite's report lines; the exit code.
 
     Orthocomplementation, orthomodularity, and the covering law decide the
     exit status; Booleanness and irreducibility are classification only.
     """
     reports = axiom_suite(ppl)
-    lines = []
     for name, rep in zip(SUITE_AXIOMS, reports):
         if rep is None:
-            lines.append(f"{name}\tskip\tno orthocomplementation")
+            print(f"{name}\tskip\tno orthocomplementation")
         elif rep.holds:
-            lines.append(f"{name}\tpass")
+            print(f"{name}\tpass")
         else:
-            lines.append(f"{name}\tfail\t{_cert_text(rep.certificate, ppl.labels)}")
-    return lines, all(rep is not None and rep.holds for rep in reports[:3])
+            print(f"{name}\tfail\t{_cert_text(rep.certificate, ppl.labels)}")
+    core_ok = all(rep is not None and rep.holds for rep in reports[:3])
+    return EXIT_OK if core_ok else EXIT_PROPERTY_FAILS
+
+
+def _print_family(ppl: PPL, dot: bool) -> bool:
+    """Print the family as DOT, or its ``atoms`` and ``elements`` lines; was it DOT?"""
+    cs = ppl.cs  # built before any output, so a cap error leaves stdout empty
+    if dot:
+        sys.stdout.write(export_dot(cs, ppl.labels))
+        return True
+    print(f"atoms\t{ppl.n}")
+    print(f"elements\t{len(cs)}")
+    return False
 
 
 def cmd_validate(args) -> int:
     obj = load_source(args.src, validate=False)
-    report = validate_state_space(obj) if isinstance(obj, StateSpace) else obj.validate()
+    report = obj.validate()
     labels = obj.labels
     for c in report.checks:
         if c.ok:
@@ -108,23 +120,14 @@ def cmd_validate(args) -> int:
 
 def cmd_lattice(args) -> int:
     ppl = as_ppl(load_source(args.src))
-    cs = ppl.cs  # built before any output, so a cap error leaves stdout empty
-    if args.dot:
-        sys.stdout.write(export_dot(cs, ppl.labels))
-        return EXIT_OK
-    print(f"atoms\t{ppl.n}")
-    print(f"elements\t{len(cs)}")
-    for i, m in enumerate(cs.masks):
-        print(f"element\t{i}\t{format_atom_set(m, ppl.labels)}")
+    if not _print_family(ppl, args.dot):
+        for i, m in enumerate(ppl.cs.masks):
+            print(f"element\t{i}\t{format_atom_set(m, ppl.labels)}")
     return EXIT_OK
 
 
 def cmd_axioms(args) -> int:
-    ppl = as_ppl(load_source(args.src))
-    lines, core_ok = _axiom_lines(ppl)
-    for line in lines:
-        print(line)
-    return EXIT_OK if core_ok else EXIT_PROPERTY_FAILS
+    return _print_axioms(as_ppl(load_source(args.src)))
 
 
 def cmd_product(args) -> int:
@@ -136,18 +139,9 @@ def cmd_product(args) -> int:
         ppl = property_lattice(separated_product(a, b))
     else:
         ppl = minimal_product(as_ppl(a), as_ppl(b))
-    cs = ppl.cs  # built before any output, so a cap error leaves stdout empty
-    if args.dot:
-        sys.stdout.write(export_dot(cs, ppl.labels))
+    if _print_family(ppl, args.dot) or not args.axioms:
         return EXIT_OK
-    print(f"atoms\t{ppl.n}")
-    print(f"elements\t{len(cs)}")
-    if args.axioms:
-        lines, core_ok = _axiom_lines(ppl)
-        for line in lines:
-            print(line)
-        return EXIT_OK if core_ok else EXIT_PROPERTY_FAILS
-    return EXIT_OK
+    return _print_axioms(ppl)
 
 
 @contextmanager

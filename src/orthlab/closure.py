@@ -101,12 +101,6 @@ class ClosureSystem:
             mask ^= low
         return sup
 
-    @cached_property
-    def is_t1(self) -> bool:
-        """Does the family contain the empty set and every singleton?"""
-        idx = self._index
-        return 0 in idx and all((1 << p) in idx for p in range(self.n))
-
     # -- basic queries ----------------------------------------------------
 
     def __len__(self) -> int:
@@ -114,9 +108,6 @@ class ClosureSystem:
 
     def __contains__(self, mask: int) -> bool:
         return mask in self._index
-
-    def id_of(self, mask: int) -> int:
-        return self._index[mask]
 
     # -- lattice operations -----------------------------------------------
 

@@ -16,15 +16,15 @@ def cover_pairs(cs: ClosureSystem) -> list[tuple[int, int]]:
     return sorted(pairs, key=lambda e: (e[1], e[0]))
 
 
-def export_dot(cs: ClosureSystem, labels: tuple[str, ...], *,
-               max_elements: int = MAX_DOT_ELEMENTS) -> str:
+def export_dot(cs: ClosureSystem, labels: tuple[str, ...]) -> str:
     """Hasse diagram in DOT, elements ranked by cardinality, bottom-up."""
-    if len(cs) > max_elements:
+    if len(cs) > MAX_DOT_ELEMENTS:
         raise CapacityError(
-            f"{len(cs)} elements exceed the diagram cap of {max_elements}")
+            f"{len(cs)} elements exceed the diagram cap of {MAX_DOT_ELEMENTS}")
     lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=box];"]
     for i, m in enumerate(cs.masks):
-        lines.append(f'  n{i} [label="{format_atom_set(m, labels)}"];')
+        label = format_atom_set(m, labels).replace("\\", "\\\\").replace('"', '\\"')  # DOT string
+        lines.append(f'  n{i} [label="{label}"];')
     by_card: dict[int, list[int]] = {}
     for i, m in enumerate(cs.masks):
         by_card.setdefault(m.bit_count(), []).append(i)

@@ -25,9 +25,8 @@ import io
 
 from .bitset import mask_bits
 from .closure import ClosureSystem
-from .errors import InvalidInstanceError, ParseError
-from .statespace import (PPL, OrthoRelation, StateSpace, is_biorthogonal_family,
-                         validate_state_space)
+from .errors import ParseError
+from .statespace import PPL, OrthoRelation, StateSpace, is_biorthogonal_family
 
 
 def format_atom_set(mask: int, labels: tuple[str, ...]) -> str:
@@ -50,55 +49,76 @@ def _tokenize(text: str) -> list[list[tuple[str, int, int]]]:
     return out
 
 
-class _SpaceReader:
-    """Shared directive handling for the two formats."""
+def _read(text: str, header: str) -> tuple[tuple[str, ...], OrthoRelation, dict[int, int]]:
+    """Labels, orthogonality and declared closed sets of a ``<header> v1`` document.
 
-    def __init__(self, header: str):
-        self.header = header
-        self.labels: list[str] = []
-        self.index: dict[str, int] = {}
-        self.orth_pairs: list[tuple[int, int]] = []
-        self.seen_pairs: set[tuple[int, int]] = set()
+    Directives are checked line by line in file order; ``closed`` is one
+    only in a ppl.  Its lines are read after the others, since they may
+    name atoms that a later ``atoms`` line declares; each declared set is
+    mapped to the line that declares it.
+    """
+    lines = _tokenize(text)
+    if not lines:
+        raise ParseError("empty document", 0, 0)
+    if [t[0] for t in lines[0]] != [header, "v1"]:
+        raise ParseError(f"expected '{header} v1' header", lines[0][0][1], lines[0][0][2])
+    index: dict[str, int] = {}
 
-    def check_header(self, toks) -> None:
-        words = [t[0] for t in toks]
-        if words != [self.header, "v1"]:
-            raise ParseError(f"expected '{self.header} v1' header", toks[0][1], toks[0][2])
-
-    def lookup(self, tok: tuple[str, int, int]) -> int:
-        label, line, col = tok
-        got = self.index.get(label)
-        if got is None:
-            raise ParseError(f"unknown atom label {label!r}", line, col)
+    def lookup(tok: tuple[str, int, int]) -> int:
+        if (got := index.get(tok[0])) is None:
+            raise ParseError(f"unknown atom label {tok[0]!r}", tok[1], tok[2])
         return got
 
-    def handle_atoms(self, toks) -> None:
-        if len(toks) < 2:
-            raise ParseError("atoms line needs at least one label", toks[0][1], toks[0][2])
-        for label, line, col in toks[1:]:
-            if label in self.index:
-                raise ParseError(f"duplicate atom label {label!r}", line, col)
-            self.index[label] = len(self.labels)
-            self.labels.append(label)
+    pairs: set[tuple[int, int]] = set()
+    closed_lines = []
+    for toks in lines[1:]:
+        word, line, col = toks[0]
+        if word == "atoms":
+            if len(toks) < 2:
+                raise ParseError("atoms line needs at least one label", line, col)
+            for label, line, col in toks[1:]:
+                if label in index:
+                    raise ParseError(f"duplicate atom label {label!r}", line, col)
+                index[label] = len(index)
+        elif word == "orth":
+            if len(toks) != 3:
+                raise ParseError("orth line needs exactly two labels", line, col)
+            p, q = lookup(toks[1]), lookup(toks[2])
+            if p == q:
+                raise ParseError(f"atom {toks[1][0]!r} declared orthogonal to itself",
+                                 toks[1][1], toks[1][2])
+            key = (min(p, q), max(p, q))
+            if key in pairs:
+                raise ParseError(f"duplicate orth declaration {toks[1][0]} {toks[2][0]}",
+                                 toks[1][1], toks[1][2])
+            pairs.add(key)
+        elif word == "closed" and header == "ppl":
+            closed_lines.append(toks)
+        else:
+            raise ParseError(f"unknown directive {word!r}", line, col)
+    if not index:
+        raise ParseError("no atoms declared", 0, 0)
+    closed: dict[int, int] = {}
+    for toks in closed_lines:
+        mask = 0
+        for tok in toks[1:]:
+            a = lookup(tok)
+            if (mask >> a) & 1:
+                raise ParseError(f"atom {tok[0]!r} repeated in closed set", tok[1], tok[2])
+            mask |= 1 << a
+        if mask in closed:
+            raise ParseError("duplicate closed set declaration", toks[0][1], toks[0][2])
+        closed[mask] = toks[0][1]
+    return tuple(index), OrthoRelation.from_pairs(len(index), pairs), closed
 
-    def handle_orth(self, toks) -> None:
-        if len(toks) != 3:
-            raise ParseError("orth line needs exactly two labels", toks[0][1], toks[0][2])
-        p, q = self.lookup(toks[1]), self.lookup(toks[2])
-        if p == q:
-            raise ParseError(f"atom {toks[1][0]!r} declared orthogonal to itself",
-                             toks[1][1], toks[1][2])
-        key = (min(p, q), max(p, q))
-        if key in self.seen_pairs:
-            raise ParseError(f"duplicate orth declaration {toks[1][0]} {toks[2][0]}",
-                             toks[1][1], toks[1][2])
-        self.seen_pairs.add(key)
-        self.orth_pairs.append(key)
 
-    def finish_orth(self) -> OrthoRelation:
-        if not self.labels:
-            raise ParseError("no atoms declared", 0, 0)
-        return OrthoRelation.from_pairs(len(self.labels), self.orth_pairs)
+def _write(header: str, labels: tuple[str, ...], orth: OrthoRelation,
+           closed: list[int]) -> str:
+    """The canonical document: header, one atoms line, closed lines, orth lines."""
+    out = [f"{header} v1", "atoms " + " ".join(labels)]
+    out += ["closed " + " ".join(labels[i] for i in mask_bits(m)) for m in closed]
+    out += [f"orth {labels[p]} {labels[q]}" for p, q in orth.pairs()]
+    return "\n".join(out) + "\n"
 
 
 def parse_statespace(text: str, *, validate: bool = True) -> StateSpace:
@@ -107,32 +127,15 @@ def parse_statespace(text: str, *, validate: bool = True) -> StateSpace:
     With ``validate`` (the default), a relation failing the orthogonality
     axioms raises :class:`InvalidInstanceError` carrying the report.
     """
-    lines = _tokenize(text)
-    if not lines:
-        raise ParseError("empty document", 0, 0)
-    reader = _SpaceReader("statespace")
-    reader.check_header(lines[0])
-    for toks in lines[1:]:
-        word = toks[0][0]
-        if word == "atoms":
-            reader.handle_atoms(toks)
-        elif word == "orth":
-            reader.handle_orth(toks)
-        else:
-            raise ParseError(f"unknown directive {word!r}", toks[0][1], toks[0][2])
-    ss = StateSpace(tuple(reader.labels), reader.finish_orth())
+    labels, orth, _ = _read(text, "statespace")
+    ss = StateSpace(labels, orth)
     if validate:
-        report = validate_state_space(ss)
-        if not report.ok:
-            raise InvalidInstanceError(report)
+        ss.require_valid()
     return ss
 
 
 def serialize_statespace(ss: StateSpace) -> str:
-    out = ["statespace v1", "atoms " + " ".join(ss.labels)]
-    for p, q in ss.orth.pairs():
-        out.append(f"orth {ss.labels[p]} {ss.labels[q]}")
-    return "\n".join(out) + "\n"
+    return _write("statespace", ss.labels, ss.orth, [])
 
 
 def parse_ppl(text: str, *, validate: bool = True) -> PPL:
@@ -143,70 +146,31 @@ def parse_ppl(text: str, *, validate: bool = True) -> PPL:
     double-perp family, which is intersection-closed because
     A⊥⊥ ∩ B⊥⊥ = (A⊥ ∪ B⊥)⊥.  Any other family is verified
     intersection-closed pair by pair; a missing intersection is reported
-    with the offending pair.  ``validate`` additionally runs the
-    orthogonality axioms.
+    with the offending pair, at the earlier of their two ``closed`` lines
+    (an implied set meets every set in a member, so both are declared).
+    ``validate`` additionally runs the orthogonality axioms.
     """
-    lines = _tokenize(text)
-    if not lines:
-        raise ParseError("empty document", 0, 0)
-    reader = _SpaceReader("ppl")
-    reader.check_header(lines[0])
-    closed_decls: list[tuple[int, int]] = []  # (mask, line)
-    explicit: set[int] = set()
-    pending: list[list] = []
-    for toks in lines[1:]:
-        word = toks[0][0]
-        if word == "atoms":
-            reader.handle_atoms(toks)
-        elif word == "orth":
-            reader.handle_orth(toks)
-        elif word == "closed":
-            pending.append(toks)
-        else:
-            raise ParseError(f"unknown directive {word!r}", toks[0][1], toks[0][2])
-    orth = reader.finish_orth()
-    n = len(reader.labels)
-    for toks in pending:
-        mask = 0
-        for tok in toks[1:]:
-            a = reader.lookup(tok)
-            if (mask >> a) & 1:
-                raise ParseError(f"atom {tok[0]!r} repeated in closed set", tok[1], tok[2])
-            mask |= 1 << a
-        if mask in explicit:
-            raise ParseError("duplicate closed set declaration", toks[0][1], toks[0][2])
-        explicit.add(mask)
-        closed_decls.append((mask, toks[0][1]))
-    family = {0, (1 << n) - 1} | {1 << p for p in range(n)} | explicit
-    cs = ClosureSystem.from_masks(n, family)
+    labels, orth, closed = _read(text, "ppl")
+    n = len(labels)
+    cs = ClosureSystem.from_masks(n, {0, (1 << n) - 1, *(1 << p for p in range(n)), *closed})
     biorthogonal = is_biorthogonal_family(cs, orth)
     defect = None if biorthogonal else cs.intersection_defect()
     if defect is not None:
         f, g = defect
         raise ParseError(
             "family is not intersection-closed: "
-            f"{format_atom_set(f, tuple(reader.labels))} and "
-            f"{format_atom_set(g, tuple(reader.labels))} meet in a missing set",
-            next((ln for m, ln in closed_decls if m in (f, g)), lines[0][0][1]))
-    ppl = PPL(cs=cs, orth=orth, labels=tuple(reader.labels), biorthogonal=biorthogonal)
+            f"{format_atom_set(f, labels)} and {format_atom_set(g, labels)} "
+            "meet in a missing set", min(closed[f], closed[g]))
+    ppl = PPL(cs=cs, orth=orth, labels=labels, biorthogonal=biorthogonal)
     if validate:
-        report = ppl.validate()
-        if not report.ok:
-            raise InvalidInstanceError(report)
+        ppl.require_valid()
     return ppl
 
 
 def serialize_ppl(ppl: PPL) -> str:
-    n = ppl.n
-    full = (1 << n) - 1
-    out = ["ppl v1", "atoms " + " ".join(ppl.labels)]
-    for m in ppl.cs.masks:
-        if m == 0 or m == full or m.bit_count() == 1:
-            continue
-        out.append("closed " + " ".join(ppl.labels[i] for i in mask_bits(m)))
-    for p, q in ppl.orth.pairs():
-        out.append(f"orth {ppl.labels[p]} {ppl.labels[q]}")
-    return "\n".join(out) + "\n"
+    full = (1 << ppl.n) - 1
+    return _write("ppl", ppl.labels, ppl.orth,
+                  [m for m in ppl.cs.masks if m.bit_count() > 1 and m != full])
 
 
 def sniff_format(text: str) -> str:

@@ -58,10 +58,9 @@ def product_orthogonality(o1: OrthoRelation, o2: OrthoRelation) -> OrthoRelation
     for row in o1.rows:
         c1 = cylinder1_mask(row, n1, n2)
         rows.extend(c1 | c2 for c2 in cyl2)
-    orth = OrthoRelation(n1 * n2, tuple(rows))
     if all(c.ok for c in o1.checks + o2.checks):
-        orth.__dict__["checks"] = o1.checks  # the three passing results
-    return orth
+        return OrthoRelation._proven(n1 * n2, tuple(rows))
+    return OrthoRelation(n1 * n2, tuple(rows))
 
 
 def separated_product(ss1: StateSpace, ss2: StateSpace) -> StateSpace:

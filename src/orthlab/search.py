@@ -27,7 +27,7 @@ from .catalog import SplitMix64, random_space
 from .errors import CouldNotSeparateError, ParseError
 from .formats import _tokenize, serialize_statespace
 from .products import minimal_product, separated_product
-from .statespace import StateSpace, property_lattice
+from .statespace import PPL, StateSpace, property_lattice
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,8 @@ def _sep_orthomodular_nonboolean(ss1: StateSpace, ss2: StateSpace) -> str | None
     return None
 
 
-def _minimal_oc_nontrivial(ss1: StateSpace, ss2: StateSpace) -> str | None:
-    """Hit iff the minimal product admits a compatible complement with both factors nontrivial.
+def _nontrivial_minimal_product(ss1: StateSpace, ss2: StateSpace) -> PPL | None:
+    """The minimal product of the two property lattices, or None when a factor is trivial.
 
     A factor is trivial, a lattice of at most two elements, exactly when
     it has one atom: a T1 family on n ≥ 2 atoms holds ∅, the n singletons
@@ -86,19 +86,21 @@ def _minimal_oc_nontrivial(ss1: StateSpace, ss2: StateSpace) -> str | None:
     """
     if ss1.n == 1 or ss2.n == 1:
         return None
-    ppls = [property_lattice(ss) for ss in (ss1, ss2)]
-    if find_compatible_orthocomplementation(minimal_product(*ppls)).holds:
+    return minimal_product(property_lattice(ss1), property_lattice(ss2))
+
+
+def _minimal_oc_nontrivial(ss1: StateSpace, ss2: StateSpace) -> str | None:
+    """Hit iff the minimal product admits a compatible complement with both factors nontrivial."""
+    prod = _nontrivial_minimal_product(ss1, ss2)
+    if prod is not None and find_compatible_orthocomplementation(prod).holds:
         return "minimal product admits a compatible orthocomplementation with nontrivial factors"
     return None
 
 
 def _minimal_covering_nontrivial(ss1: StateSpace, ss2: StateSpace) -> str | None:
-    """Hit iff the minimal product satisfies the covering law with both factors
-    nontrivial (two atoms each at least, as in :func:`_minimal_oc_nontrivial`)."""
-    if ss1.n == 1 or ss2.n == 1:
-        return None
-    ppls = [property_lattice(ss) for ss in (ss1, ss2)]
-    if check_covering_law(minimal_product(*ppls)).holds:
+    """Hit iff the minimal product satisfies the covering law with both factors nontrivial."""
+    prod = _nontrivial_minimal_product(ss1, ss2)
+    if prod is not None and check_covering_law(prod).holds:
         return "minimal product satisfies the covering law with nontrivial factors"
     return None
 

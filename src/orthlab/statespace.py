@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .bitset import mask_bits
-from .closure import DEFAULT_FAMILY_CAP, ClosureSystem, meet_closure
+from .closure import ClosureSystem, meet_closure
 from .errors import CapacityError, InvalidInstanceError
 
 
@@ -59,7 +59,7 @@ class OrthoRelation:
 
     The container itself does not enforce the axioms; build through
     :meth:`from_pairs` for symmetrized input, and use the ``*_failure``
-    probes (or :func:`validate_state_space`) for checking.  The relation
+    probes (or :meth:`StateSpace.validate`) for checking.  The relation
     is frozen, so :attr:`checks` runs the three probes once and every
     later validation of the same relation reads the result.
     """
@@ -85,6 +85,14 @@ class OrthoRelation:
             rows[p] |= 1 << q
             rows[q] |= 1 << p
         return cls(n, tuple(rows))
+
+    @classmethod
+    def _proven(cls, n: int, rows: tuple[int, ...]) -> "OrthoRelation":
+        """``rows`` that the caller proved valid; :attr:`checks` records three passes."""
+        orth = cls(n, rows)
+        orth.__dict__["checks"] = tuple(
+            CheckResult(name, True) for name in ("antireflexive", "symmetric", "separating"))
+        return orth
 
     def orthogonal(self, p: int, q: int) -> bool:
         return (self.rows[p] >> q) & 1 == 1
@@ -137,8 +145,17 @@ class OrthoRelation:
         )
 
 
+class _Validated:
+    """``require_valid`` for a class with a ``validate()`` report."""
+
+    def require_valid(self) -> None:
+        report = self.validate()
+        if not report.ok:
+            raise InvalidInstanceError(report)
+
+
 @dataclass(frozen=True)
-class StateSpace:
+class StateSpace(_Validated):
     """Labelled states plus their orthogonality relation."""
 
     labels: tuple[str, ...]
@@ -156,18 +173,12 @@ class StateSpace:
     def n(self) -> int:
         return self.orth.n
 
-    def require_valid(self) -> None:
-        report = validate_state_space(self)
-        if not report.ok:
-            raise InvalidInstanceError(report)
+    def validate(self) -> ValidationReport:
+        """Antireflexivity, symmetry and separation, with witnesses."""
+        return ValidationReport(self.orth.checks)
 
 
-def validate_state_space(ss: StateSpace) -> ValidationReport:
-    """Check antireflexivity, symmetry, and separation, with witnesses."""
-    return ValidationReport(ss.orth.checks)
-
-
-class PPL:
+class PPL(_Validated):
     """A T1 closure system with an orthogonality on its atoms.
 
     ``biorthogonal`` marks families whose closure operator coincides with
@@ -246,11 +257,6 @@ class PPL:
         return ValidationReport(
             self.orth.checks + (CheckResult("t1", self.is_t1, None),))
 
-    def require_valid(self) -> None:
-        report = self.validate()
-        if not report.ok:
-            raise InvalidInstanceError(report)
-
 
 def is_biorthogonal_family(cs: ClosureSystem, orth: OrthoRelation) -> bool:
     """Is the family exactly the sets fixed by double perp?
@@ -272,11 +278,12 @@ def is_biorthogonal_family(cs: ClosureSystem, orth: OrthoRelation) -> bool:
     return closed.masks == cs.masks
 
 
-def property_lattice(ss: StateSpace, *, max_family: int = DEFAULT_FAMILY_CAP) -> PPL:
+def property_lattice(ss: StateSpace) -> PPL:
     """Family of biorthogonally closed subsets of a valid state space.
 
-    The family is built on the first read of ``cs``, and the cap is
-    checked then; joins are double perp and never build it.
+    The family is built on the first read of ``cs``, and the cap
+    :data:`~orthlab.closure.DEFAULT_FAMILY_CAP` is checked then; joins are
+    double perp and never build it.
 
     Every closed set is an intersection of perp rows, so the family is the
     meet closure of the rows instead of a scan of all 2**n subsets.  Its
@@ -291,5 +298,4 @@ def property_lattice(ss: StateSpace, *, max_family: int = DEFAULT_FAMILY_CAP) ->
     """
     ss.require_valid()
     o = ss.orth
-    return PPL.lazy(lambda: meet_closure(o.rows, o.n, max_family=max_family), o, ss.labels,
-                    biorthogonal=True)
+    return PPL.lazy(lambda: meet_closure(o.rows, o.n), o, ss.labels, biorthogonal=True)

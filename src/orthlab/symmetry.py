@@ -40,9 +40,6 @@ class Symmetry:
 
     perm: tuple[int, ...]
 
-    def __call__(self, atom: int) -> int:
-        return self.perm[atom]
-
 
 @dataclass(frozen=True)
 class SymmetryDefect:

@@ -61,7 +61,8 @@ def _as_set(part) -> frozenset:
 
 def _complement_dict(ppl) -> dict:
     cs, orth = ppl.cs, ppl.orth
-    return {ora.mask_to_set(m): ora.mask_to_set(cs.masks[cs.id_of(orth.perp_mask(m))])
+    index = {m: i for i, m in enumerate(cs.masks)}
+    return {ora.mask_to_set(m): ora.mask_to_set(cs.masks[index[orth.perp_mask(m)]])
             for m in cs.masks}
 
 

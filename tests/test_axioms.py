@@ -31,7 +31,8 @@ def _oracle_world(ppl):
 def _perp_ids(ppl):
     """The id of each element's perp; KeyError if some perp is not closed."""
     cs, orth = ppl.cs, ppl.orth
-    return tuple(cs.id_of(orth.perp_mask(m)) for m in cs.masks)
+    index = {m: i for i, m in enumerate(cs.masks)}
+    return tuple(index[orth.perp_mask(m)] for m in cs.masks)
 
 
 def _perp_map_as_sets(ppl):
@@ -380,6 +381,18 @@ def test_boolean_agrees_with_oracle(random_batch):
             assert ora.replay_distributivity(
                 fam, *(ora.mask_to_set(cert.part(k).bits) for k in "xyz"))
     assert failures > 0
+
+
+def test_boolean_verdict_needs_no_probe_once_the_family_is_read(monkeypatch, b3):
+    # the complete orthogonality graph decides a Boolean family, read or not
+    lattices = [O.property_lattice(O.boolean_space(6)), O.property_lattice(b3)]
+    lattices.append(O.PPL(lattices[1].cs, b3.orth, b3.labels))  # not marked biorthogonal
+    for ppl in lattices:
+        assert ppl.cs
+    monkeypatch.setattr(axioms, "mask_bits", _raise)  # the probes' bit walk
+    for ppl in lattices:
+        report = check_boolean(ppl)
+        assert (report.holds, report.stats.checked) == (True, ppl.n << (ppl.n - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ def test_boolean_space_profile():
     b3 = O.boolean_space(3)
     assert b3.labels == ("a", "b", "c")
     assert b3.orth.rows == (0b110, 0b101, 0b011)
-    assert O.validate_state_space(b3).ok
+    assert b3.validate().ok
 
 
 def test_boolean_space_size_limits():
@@ -63,7 +63,7 @@ def test_lantern_profile():
     mo2 = O.mo_lantern(2)
     assert mo2.labels == ("a1", "a2", "b1", "b2")
     assert list(mo2.orth.pairs()) == [(0, 2), (1, 3)]
-    assert O.validate_state_space(mo2).ok
+    assert mo2.validate().ok
     assert len(O.property_lattice(O.mo_lantern(3)).cs) == 8  # 2n + 2
 
 
@@ -79,7 +79,7 @@ def test_random_space_is_deterministic():
     a = O.random_space(6, 0.5, 12345)
     b = O.random_space(6, 0.5, 12345)
     assert a == b
-    assert O.validate_state_space(a).ok
+    assert a.validate().ok
 
 
 def test_random_space_varies_with_seed():
@@ -132,6 +132,16 @@ def test_random_space_follows_its_specification():
         assert ora.random_orthogonality(2, 0.0, SplitMix64(seed), MAX_SEPARATION_ATTEMPTS) is None
         with pytest.raises(CouldNotSeparateError):
             O.random_space(2, 0.0, seed)
+
+
+def test_random_space_records_the_checks_a_fresh_scan_gives():
+    # each relation is proved valid as it is drawn, so its checks are recorded, not scanned
+    for n in range(1, 9):
+        for density in QUICK_DENSITIES:
+            for seed in range(51):
+                orth = O.random_space(n, density, seed).orth
+                assert "checks" in vars(orth)
+                assert orth.checks == O.OrthoRelation(n, orth.rows).checks
 
 
 def test_random_space_gives_up_where_its_specification_does(monkeypatch):

@@ -71,6 +71,17 @@ def test_unknown_document_type_is_invalid_input(run, tmp_path):
     assert run("validate", str(path))[0] == 2
 
 
+@pytest.mark.parametrize("text,error", [
+    ("garbage v1\n", "'garbage' (line 1, col 1)"),
+    ("\n\n# c\nsearch v1\n", "'search' (line 4, col 1)"),
+    ("# c\n   search v1  # spec\n", "'search' (line 2, col 4)"),
+])
+def test_unknown_document_type_names_the_first_word_where_it_sits(run, tmp_path, text, error):
+    path = tmp_path / "odd.txt"
+    path.write_text(text)
+    assert run("axioms", str(path)) == (2, [], f"error\tunrecognized document type {error}\n")
+
+
 # ---------------------------------------------------------------------------
 # lattice
 
@@ -94,6 +105,22 @@ def test_lattice_dot_output(run):
     assert code == 0
     assert out[0].startswith("digraph")
     assert out[-1] == "}"
+
+
+def test_dot_labels_escape_quotes_and_backslashes(run, tmp_path):
+    path = tmp_path / "q.statespace"
+    path.write_text('statespace v1\natoms a"x b\\y\north a"x b\\y\n')
+    code, out, _ = run("lattice", str(path), "--dot")
+    assert code == 0
+    assert [line for line in out if "[label=" in line] == [
+        '  n0 [label="{}"];',
+        '  n1 [label="{a\\"x}"];',
+        '  n2 [label="{b\\\\y}"];',
+        '  n3 [label="{a\\"x,b\\\\y}"];',
+    ]
+    # the report lines keep the labels as they are
+    assert run("lattice", str(path))[1][2:] == [
+        'element\t0\t{}', 'element\t1\t{a"x}', 'element\t2\t{b\\y}', 'element\t3\t{a"x,b\\y}']
 
 
 # ---------------------------------------------------------------------------

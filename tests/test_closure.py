@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from orthlab.bitset import GROUND_CAPACITY, permute_mask
 from orthlab.closure import ClosureSystem, meet_closure
 from orthlab.errors import CapacityError
+from orthlab.statespace import PPL, OrthoRelation
 
 from oracles import (
     covers,
@@ -195,12 +196,12 @@ def test_atoms_of_single_member_family_is_the_ground_set():
 def test_atoms_vs_lattice_atoms_on_a_chain():
     cs = ClosureSystem.from_masks(2, [0b00, 0b01, 0b11])
     assert [cs.masks[i] for i in sorted(cs.upper_covers(cs.masks[0]))] == [0b01]
-    assert not cs.is_t1
+    assert not PPL(cs, OrthoRelation.from_pairs(2, [(0, 1)]), ("a", "b")).is_t1
 
 
 def test_covers_in_a_boolean_cube(b3_ppl):
     cs = b3_ppl.cs
-    bot, top, atom = 0, len(cs) - 1, cs.id_of(0b001)
+    bot, top, atom = 0, len(cs) - 1, cs.masks.index(0b001)
     assert cs.masks[bot] == 0 and cs.masks[top] == 0b111
     assert atom in cs.upper_covers(cs.masks[bot])
     assert top not in cs.upper_covers(cs.masks[bot])
@@ -215,7 +216,7 @@ def test_covers_in_a_boolean_cube(b3_ppl):
 def test_element_lookup_and_iteration(b3_ppl):
     cs = b3_ppl.cs
     assert len(cs) == 8
-    assert [cs.id_of(m) for m in cs.masks] == list(range(8))
+    assert [cs.closure_mask(m) for m in cs.masks] == list(cs.masks)
     assert cs.masks[3] in cs
     assert cs.masks[0] == 0
     assert cs.masks[-1] == 0b111

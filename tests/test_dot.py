@@ -3,6 +3,7 @@
 import pytest
 
 import orthlab as O
+from orthlab.cli import main
 from orthlab.dot import cover_pairs, export_dot
 from orthlab.errors import CapacityError
 
@@ -51,6 +52,13 @@ def test_diagram_is_deterministic(mo2_ppl):
         export_dot(mo2_ppl.cs, mo2_ppl.labels)
 
 
-def test_diagram_size_cap(mo2_ppl):
+def test_diagram_size_cap(capsys):
+    # MAX_DOT_ELEMENTS is 500: the 256 sets of boolean:8 fit, the 512 of boolean:9 do not
+    b8 = O.property_lattice(O.boolean_space(8))
+    assert export_dot(b8.cs, b8.labels).count(" [label=") == 256
+    b9 = O.property_lattice(O.boolean_space(9))
     with pytest.raises(CapacityError):
-        export_dot(mo2_ppl.cs, mo2_ppl.labels, max_elements=5)
+        export_dot(b9.cs, b9.labels)
+    assert main(["lattice", "gen:boolean:9", "--dot"]) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error\t512 elements exceed the diagram cap of 500\n")

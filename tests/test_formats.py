@@ -63,7 +63,51 @@ def test_statespace_validation_failure_carries_report():
         parse_statespace(text)
     assert [c.name for c in err.value.report.failures()] == ["separating"]
     unchecked = parse_statespace(text, validate=False)
-    assert not O.validate_state_space(unchecked).ok
+    assert not unchecked.validate().ok
+
+
+#: The exact error of each malformed document below: message with position, line, column.
+SYNTAX_ERRORS = {
+    "": ("empty document", 0, 0),
+    "# only a comment\n\n": ("empty document", 0, 0),
+    "spacestate v1\n": ("expected 'statespace v1' header (line 1, col 1)", 1, 1),
+    "statespace v2\n": ("expected 'statespace v1' header (line 1, col 1)", 1, 1),
+    "statespace v1\nfoo a\n": ("unknown directive 'foo' (line 2, col 1)", 2, 1),
+    "statespace v1\natoms\n": ("atoms line needs at least one label (line 2, col 1)", 2, 1),
+    "statespace v1\natoms a a\n": ("duplicate atom label 'a' (line 2, col 9)", 2, 9),
+    "statespace v1\natoms a\north a b\n": ("unknown atom label 'b' (line 3, col 8)", 3, 8),
+    "statespace v1\natoms a b\north a\n":
+        ("orth line needs exactly two labels (line 3, col 1)", 3, 1),
+    "statespace v1\natoms a b\north a a\n":
+        ("atom 'a' declared orthogonal to itself (line 3, col 6)", 3, 6),
+    "statespace v1\natoms a b\north a b\north b a\n":
+        ("duplicate orth declaration b a (line 4, col 6)", 4, 6),
+    "statespace v1\north a b\n": ("unknown atom label 'a' (line 2, col 6)", 2, 6),
+    "statespace v1\natoms a b\nclosed a\n": ("unknown directive 'closed' (line 3, col 1)", 3, 1),
+    "statespace v1 # c\n# c\n": ("no atoms declared", 0, 0),
+    "\n  # c\n": ("empty document", 0, 0),
+    "ppl v2\n": ("expected 'ppl v1' header (line 1, col 1)", 1, 1),
+    "ppl v1\natoms a b\nclosed a a\north a b\n":
+        ("atom 'a' repeated in closed set (line 3, col 10)", 3, 10),
+    "ppl v1\natoms a b c\nclosed a b\nclosed a b\north a b\n":
+        ("duplicate closed set declaration (line 4, col 1)", 4, 1),
+    "ppl v1\natoms a b\nclosed a q\north a b\n":
+        ("unknown atom label 'q' (line 3, col 10)", 3, 10),
+    # every directive line is read before any closed line
+    "ppl v1\natoms a b\nclosed a q\north a z\n": ("unknown atom label 'z' (line 4, col 8)", 4, 8),
+    "ppl v1\natoms a b\nfoo\n": ("unknown directive 'foo' (line 3, col 1)", 3, 1),
+    "ppl v1\nclosed a\n": ("no atoms declared", 0, 0),
+}
+
+
+def _syntax_error(parse, text, fragment) -> ParseError:
+    """The error ``parse`` raises on ``text``, checked against :data:`SYNTAX_ERRORS`."""
+    with pytest.raises(ParseError) as err:
+        parse(text, validate=False)
+    message, line, col = SYNTAX_ERRORS[text]
+    assert fragment in message
+    assert (str(err.value), err.value.line, err.value.col) == (message, line, col)
+    return err.value
 
 
 @pytest.mark.parametrize("text,line,fragment", [
@@ -78,12 +122,12 @@ def test_statespace_validation_failure_carries_report():
     ("statespace v1\natoms a b\north a a\n", 3, "itself"),
     ("statespace v1\natoms a b\north a b\north b a\n", 4, "duplicate orth"),
     ("statespace v1\north a b\n", 2, "unknown atom"),
+    ("statespace v1\natoms a b\nclosed a\n", 3, "directive"),
+    ("statespace v1 # c\n# c\n", 0, "no atoms"),
+    ("# only a comment\n\n", 0, "empty"),
 ])
 def test_statespace_syntax_errors(text, line, fragment):
-    with pytest.raises(ParseError) as err:
-        parse_statespace(text, validate=False)
-    assert fragment in str(err.value)
-    assert err.value.line == line
+    assert _syntax_error(parse_statespace, text, fragment).line == line
 
 
 def test_self_orthogonality_is_rejected_before_validation():
@@ -163,11 +207,22 @@ def test_declaring_an_implied_set_is_harmless():
     ("ppl v1\natoms a b\nclosed a a\north a b\n", "repeated"),
     ("ppl v1\natoms a b c\nclosed a b\nclosed a b\north a b\n", "duplicate closed"),
     ("ppl v1\natoms a b\nclosed a q\north a b\n", "unknown atom"),
+    ("ppl v1\natoms a b\nclosed a q\north a z\n", "unknown atom"),
+    ("ppl v1\natoms a b\nfoo\n", "directive"),
+    ("ppl v2\n", "header"),
+    ("ppl v1\nclosed a\n", "no atoms"),
+    ("", "empty"),
+    ("\n  # c\n", "empty"),
 ])
 def test_ppl_syntax_errors(text, fragment):
-    with pytest.raises(ParseError) as err:
-        parse_ppl(text, validate=False)
-    assert fragment in str(err.value)
+    _syntax_error(parse_ppl, text, fragment)
+
+
+def test_closed_lines_may_name_atoms_declared_later():
+    ppl = parse_ppl("ppl v1\natoms a b\nclosed b c\natoms c\n"
+                    "orth a b\north a c\north b c\n", validate=False)
+    assert ppl.labels == ("a", "b", "c")
+    assert ppl.cs.masks == (0b000, 0b001, 0b010, 0b100, 0b110, 0b111)
 
 
 def test_ppl_intersection_defect_reports_the_pair():

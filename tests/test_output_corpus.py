@@ -1,0 +1,15 @@
+"""The output corpus of ``tests/output_corpus.py`` is a deterministic fingerprint."""
+
+import output_corpus
+
+
+def _slice(argv):
+    """Every command but the products and the searches, about 450 of them."""
+    return argv[0] not in ("product", "search")
+
+
+def test_a_slice_of_the_corpus_prints_the_same_lines_twice():
+    first = output_corpus.corpus_lines(_slice)
+    assert len(first) > 400
+    assert any("{work}/late-header.statespace" in line for line in first)
+    assert first == output_corpus.corpus_lines(_slice)

@@ -75,7 +75,7 @@ def test_separated_product_is_valid_on_random_factors(random_batch):
         if ss1.n * ss2.n > 16:
             continue
         sep = O.separated_product(ss1, ss2)
-        assert O.validate_state_space(sep).ok
+        assert sep.validate().ok
 
 
 def test_separated_product_requires_valid_factors(b2):
@@ -133,7 +133,9 @@ def test_product_checks_are_set_exactly_for_valid_factors(random_batch):
     pairs += [(bad, O.boolean_space(2).orth), (O.boolean_space(2).orth, bad)]
     for o1, o2 in pairs:
         prod = product_orthogonality(o1, o2)
+        recorded = "checks" in vars(prod)  # before any read of prod.checks
         assert prod.checks == O.OrthoRelation(prod.n, prod.rows).checks  # a fresh scan
+        assert recorded == (bad not in (o1, o2))
     assert not all(c.ok for c in prod.checks)
 
 

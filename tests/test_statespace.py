@@ -56,7 +56,7 @@ def test_separation_matches_row_containment_oracle(random_batch):
 
 def test_validate_state_space_reports_by_name():
     bad = StateSpace(("x", "y", "z"), OrthoRelation.from_pairs(3, [(0, 2), (1, 2)]))
-    report = O.validate_state_space(bad)
+    report = bad.validate()
     assert not report.ok
     assert [c.name for c in report.failures()] == ["separating"]
     with pytest.raises(InvalidInstanceError):
@@ -127,7 +127,7 @@ def test_property_lattice_matches_brute_force(random_batch):
         orth = ora.rows_to_dict(ss.orth.rows)
         assert ora.family_to_sets(ppl.cs.masks) == ora.closed_sets(orth)
         assert ppl.cs.masks == ora.closed_masks_brute(ss.orth.rows, ss.n)
-        assert ppl.cs.is_t1
+        assert PPL(ppl.cs, ss.orth, ss.labels).is_t1  # read off the family's own joins
         assert ppl.cs.masks[0] == 0  # bottom is always the empty set
 
 
@@ -162,9 +162,11 @@ def test_property_lattice_rejects_invalid_space():
         O.property_lattice(bad)
 
 
-def test_property_lattice_family_cap(b4):
-    with pytest.raises(CapacityError):
-        O.property_lattice(b4, max_family=10).cs
+def test_property_lattice_family_cap():
+    # 2**20 closed sets exceed DEFAULT_FAMILY_CAP; the error comes at the first read
+    ppl = O.property_lattice(O.boolean_space(20))
+    with pytest.raises(CapacityError, match="exceeds cap of 1000000 sets"):
+        ppl.cs
 
 
 # ---------------------------------------------------------------------------

@@ -298,7 +298,7 @@ def test_find_plane_symmetry_range_check(b3_ppl):
 
 def test_verify_plane_witness_catches_tampering(b4_ppl):
     w = find_plane_symmetry(b4_ppl, 0, 1)
-    assert w.f(w.p) == w.q == 1
+    assert w.f.perm[w.p] == w.q == 1
     bad = PlaneWitness(p=w.p, q=w.q, p1=w.p1, p2=w.p2, f=Symmetry((0, 1, 2, 3)))
     assert verify_plane_witness(b4_ppl, bad) is not None
     degenerate = PlaneWitness(p=w.p, q=w.q, p1=2, p2=2, f=w.f)
