@@ -4,10 +4,12 @@
 For each Boolean space and lantern in range: property-lattice size, the
 axiom profile, symmetry-group order, and plane transitivity.  With
 ``--products``, the same profile for the minimal and separated products
-of every catalog pair that fits the atom budget.  A symmetry count or
-plane verdict whose search runs out of its node budget prints
-``unknown``, and so does every cell of a product whose closed family
-exceeds the family cap.
+of every catalog pair that fits the atom budget.  A cell prints
+``unknown`` when its own answer runs out of a search's node budget or
+needs a closed family over the family cap: the element count and the
+axiom cells read the family, the symmetry count and the plane verdict
+do not.  A product that cannot be built at all prints ``unknown`` in
+every cell.
 """
 
 import argparse
@@ -28,36 +30,43 @@ def yn(flag) -> str:
 
 
 def axiom_profile(ppl) -> dict:
-    """yes/no per axiom of the suite, - where it needs a missing complement."""
-    return {key: yn(None if rep is None else rep.holds)
-            for key, rep in zip(PROFILE_KEYS, axiom_suite(ppl))}
-
-
-def unless_budget(search) -> str:
-    """The search's answer as text, or ``unknown`` if it runs out of budget."""
+    """yes/no per axiom of the suite, - where it needs a missing complement,
+    and ``unknown`` for all if the suite needs a family over the cap."""
     try:
-        return str(search())
-    except BudgetExceededError:
+        reports = axiom_suite(ppl)
+    except CapacityError:
+        return dict.fromkeys(PROFILE_KEYS, "unknown")
+    return {key: yn(None if rep is None else rep.holds)
+            for key, rep in zip(PROFILE_KEYS, reports)}
+
+
+def or_unknown(answer) -> str:
+    """``answer()`` as text, or ``unknown`` if it runs out of budget or
+    needs a family over the cap."""
+    try:
+        return str(answer())
+    except (BudgetExceededError, CapacityError):
         return "unknown"
 
 
 def survey_line(name: str, ppl) -> str:
-    cols = [name, f"atoms={ppl.n}", f"elements={len(ppl.cs)}"]
+    cols = [name, f"atoms={ppl.n}", f"elements={or_unknown(lambda: len(ppl.cs))}"]
     cols += [f"{key}={flag}" for key, flag in axiom_profile(ppl).items()]
-    cols.append(f"symmetries={unless_budget(lambda: count_symmetries(ppl))}")
-    cols.append("plane-transitive=" + unless_budget(
+    cols.append(f"symmetries={or_unknown(lambda: count_symmetries(ppl))}")
+    cols.append("plane-transitive=" + or_unknown(
         lambda: yn(is_plane_transitive(ppl, witnesses=False).transitive)))
     return "\t".join(cols)
 
 
 def product_line(name: str, atoms: int, build) -> str:
     """The survey line of the product ``build()`` makes, or its name and
-    atom count with ``unknown`` cells if its family exceeds the cap."""
+    atom count with ``unknown`` cells if it cannot be built."""
     try:
-        return survey_line(name, build())
+        ppl = build()
     except CapacityError:
         keys = ("elements", *PROFILE_KEYS, "symmetries", "plane-transitive")
         return "\t".join([name, f"atoms={atoms}"] + [f"{key}=unknown" for key in keys])
+    return survey_line(name, ppl)
 
 
 def main() -> int:

@@ -9,10 +9,9 @@ from .axioms import (AxiomReport, Certificate, CheckStats, axiom_suite, check_bo
                      find_compatible_orthocomplementation)
 from .products import (minimal_product, product_orthogonality, rectangle_family,
                        separated_product)
-from .symmetry import (DEFAULT_BUDGET, PlaneTransitivityReport, PlaneWitness, Symmetry,
+from .symmetry import (DEFAULT_BUDGET, PlaneTransitivityReport, PlaneWitness,
                        count_symmetries, enumerate_symmetries, find_plane_symmetry,
-                       is_plane_transitive,
-                       product_plane_witness, symmetry_failure, verify_plane_witness)
+                       is_plane_transitive)
 from .catalog import SplitMix64, boolean_space, mo_lantern, random_space
 from .formats import (parse_ppl, parse_statespace, serialize_ppl, serialize_statespace)
 from .dot import export_dot

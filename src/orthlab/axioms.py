@@ -16,7 +16,6 @@ the same instance must reproduce the violation.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -28,7 +27,6 @@ from .statespace import PPL
 @dataclass(frozen=True)
 class CheckStats:
     checked: int
-    seconds: float
 
 
 @dataclass(frozen=True)
@@ -53,9 +51,9 @@ class AxiomReport:
     stats: CheckStats
 
 
-def _timed(axiom: str, holds: bool, cert: Certificate | None, checked: int,
-           t0: float) -> AxiomReport:
-    return AxiomReport(axiom, holds, cert, CheckStats(checked, time.perf_counter() - t0))
+def _report(axiom: str, cert: Certificate | None, checked: int) -> AxiomReport:
+    """The axiom holds exactly when there is no certificate."""
+    return AxiomReport(axiom, cert is None, cert, CheckStats(checked))
 
 
 def _t1_prefix(ppl: PPL) -> Iterator[tuple[int, list[int]]]:
@@ -98,11 +96,9 @@ def find_compatible_orthocomplementation(ppl: PPL) -> AxiomReport:
     :func:`_complement_failure`.  ``checked`` counts the elements mapped,
     so a passing report reads the family.
     """
-    t0 = time.perf_counter()
     ppl.require_valid()
     cert = None if ppl.biorthogonal else _complement_failure(ppl)
-    return _timed("orthocomplementation", cert is None, cert,
-                  len(ppl.cs) if cert is None else 0, t0)
+    return _report("orthocomplementation", cert, len(ppl.cs) if cert is None else 0)
 
 
 def _complement_failure(ppl: PPL) -> Certificate | None:
@@ -177,12 +173,11 @@ def check_orthomodular(ppl: PPL) -> AxiomReport:
     element when the law holds, and those up to the certificate's a when
     it fails.
     """
-    t0 = time.perf_counter()
     _require_complement(ppl)
     if not ppl.has_family:
         cert, checked = _first_failure(ppl, _t1_prefix(ppl), _orthomodular_failure)
         if cert is not None:
-            return _timed("orthomodular", False, cert, checked, t0)
+            return _report("orthomodular", cert, checked)
     cs = ppl.cs
     masks, perp_mask = cs.masks, ppl.orth.perp_mask
     every = (1 << len(masks)) - 1
@@ -200,9 +195,9 @@ def check_orthomodular(ppl: PPL) -> AxiomReport:
             if cert is None:
                 raise InvariantViolationError(
                     "the orthomodularity criterion fails but no pair a ⊆ b does")
-            return _timed("orthomodular", False, cert, checked, t0)
+            return _report("orthomodular", cert, checked)
     checked = len(masks) * cs.n - sum(map(int.bit_count, masks))
-    return _timed("orthomodular", True, None, checked, t0)
+    return _report("orthomodular", None, checked)
 
 
 def _orthomodular_failure(ppl: PPL, a: int, ext: list[int]) -> Certificate | None:
@@ -243,13 +238,12 @@ def check_covering_law(ppl: PPL) -> AxiomReport:
     of the pairs and of the elements between reports.  ``checked`` counts
     the one-point extensions computed.
     """
-    t0 = time.perf_counter()
     if not ppl.is_t1:
         raise ValueError("the covering law is checked on T1 families only")
     if not ppl.has_family:
         cert, checked = _first_failure(ppl, _t1_prefix(ppl), _covering_failure)
         if cert is not None:
-            return _timed("covering", False, cert, checked, t0)
+            return _report("covering", cert, checked)
     cs = ppl.cs
     masks = cs.masks
     checked = 0
@@ -261,8 +255,8 @@ def check_covering_law(ppl: PPL) -> AxiomReport:
         # mapping every extension to its mask where a passes
         if sum((masks[k] & ~a).bit_count() for k in set(ext)) != rest \
                 and (cert := _covering_failure(ppl, a, [masks[k] for k in ext])) is not None:
-            return _timed("covering", False, cert, checked, t0)
-    return _timed("covering", True, None, checked, t0)
+            return _report("covering", cert, checked)
+    return _report("covering", None, checked)
 
 
 def _covering_failure(ppl: PPL, a: int, ext: list[int]) -> Certificate | None:
@@ -325,12 +319,11 @@ def check_boolean(ppl: PPL) -> AxiomReport:
     (A, s) probes, which the report of a passing family gives as the
     n·2**(n-1) a scan of the powerset makes.
     """
-    t0 = time.perf_counter()
     _require_complement(ppl)
     n = ppl.n
     full = (1 << n) - 1
     if all(row | 1 << p == full for p, row in enumerate(ppl.orth.rows)):
-        return _timed("boolean", True, None, n << (n - 1), t0)
+        return _report("boolean", None, n << (n - 1))
     join = ppl.join_mask
 
     def probed():  # the A past ∅: singletons, then the family past the T1 prefix
@@ -343,11 +336,11 @@ def check_boolean(ppl: PPL) -> AxiomReport:
             checked += 1
             joined = a | 1 << s
             if (extra := join(joined) & ~joined):
-                return _timed("boolean", False, Certificate("distributivity", (
+                return _report("boolean", Certificate("distributivity", (
                     ("x", AtomSet(extra & -extra, n)),
                     ("y", AtomSet(a, n)),
                     ("z", AtomSet(1 << s, n)),
-                )), checked, t0)
+                )), checked)
     raise InvariantViolationError("the family is not the powerset but every probe closes")
 
 
@@ -367,7 +360,6 @@ def check_irreducible(ppl: PPL) -> AxiomReport:
     canonically first nontrivial central element is the canonically first
     component.  ``checked`` counts the atoms visited.
     """
-    t0 = time.perf_counter()
     _require_complement(ppl)
     rows = ppl.orth.rows
     full = (1 << ppl.n) - 1
@@ -384,10 +376,10 @@ def check_irreducible(ppl: PPL) -> AxiomReport:
         components.append(comp)
         rest &= ~comp
     if len(components) == 1:
-        return _timed("irreducible", True, None, ppl.n, t0)
+        return _report("irreducible", None, ppl.n)
     z = min(components, key=canonical_key)
     cert = Certificate("central-element", (("z", AtomSet(z, ppl.n)),))
-    return _timed("irreducible", False, cert, ppl.n, t0)
+    return _report("irreducible", cert, ppl.n)
 
 
 #: The axioms of :func:`axiom_suite`, in report order.

@@ -162,7 +162,7 @@ def cmd_plane(args) -> int:
     if report.note:
         print(f"note\t{report.note}")
     for w in report.witnesses or ():
-        images = " ".join(ppl.labels[t] for t in w.f.perm)
+        images = " ".join(ppl.labels[t] for t in w.perm)
         print(f"witness\t{ppl.labels[w.p]}\t{ppl.labels[w.q]}"
               f"\t{ppl.labels[w.p1]}\t{ppl.labels[w.p2]}\t{images}")
     if not report.transitive and report.failing_pair is not None:
@@ -178,9 +178,9 @@ def cmd_symmetries(args) -> int:
             print(f"count\t{count_symmetries(ppl, budget=args.budget)}")
         return EXIT_OK
     count = 0
-    for sym in enumerate_symmetries(ppl, budget=args.budget):
+    for perm in enumerate_symmetries(ppl, budget=args.budget):
         count += 1
-        print("symmetry\t" + " ".join(ppl.labels[t] for t in sym.perm))
+        print("symmetry\t" + " ".join(ppl.labels[t] for t in perm))
     print(f"count\t{count}")
     return EXIT_OK
 

@@ -2,7 +2,8 @@
 
 A symmetry is an atom permutation that maps closed sets to closed sets
 in both directions and preserves orthogonality in both directions;
-:mod:`orthlab.backtrack` searches for them.
+:mod:`orthlab.backtrack` searches for them.  A permutation is the tuple
+of its images: atom i maps to perm[i].
 
 Group orders come from pinned existence probes (does some symmetry in a
 group G map p to q?) that keep an orbit record of G (:class:`_Orbits`);
@@ -35,30 +36,14 @@ DEFAULT_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
-class Symmetry:
-    """An atom permutation, image-listed: atom i maps to perm[i]."""
-
-    perm: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SymmetryDefect:
-    """Why a permutation fails to be a symmetry."""
-
-    kind: str  # "orthogonality" | "closed-set"
-    pair: tuple[int, int] | None = None
-    mask: int | None = None
-
-
-@dataclass(frozen=True)
 class PlaneWitness:
-    """A symmetry f with f(p) = q fixing every atom of join({p1}, {p2})."""
+    """A symmetry ``perm`` with perm[p] = q fixing every atom of join({p1}, {p2})."""
 
     p: int
     q: int
     p1: int
     p2: int
-    f: Symmetry
+    perm: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -67,29 +52,6 @@ class PlaneTransitivityReport:
     witnesses: tuple[PlaneWitness, ...] | None = None
     failing_pair: tuple[int, int] | None = None
     note: str | None = None
-
-
-def symmetry_failure(ppl: PPL, perm: Sequence[int]) -> SymmetryDefect | None:
-    """First reason ``perm`` is not a symmetry, or None if it is one.
-
-    On a property lattice only orthogonality is checked: a bijection that
-    preserves it both ways maps the family onto itself (see
-    :func:`_backtrack`).
-    """
-    n = ppl.n
-    if sorted(perm) != list(range(n)):
-        raise ValueError("not a permutation of the atoms")
-    orth = ppl.orth
-    for p in range(n):
-        for q in range(n):
-            if orth.orthogonal(p, q) != orth.orthogonal(perm[p], perm[q]):
-                return SymmetryDefect("orthogonality", pair=(p, q))
-    if ppl.biorthogonal:
-        return None
-    bad = ppl.cs.permutation_failure(perm)
-    if bad is not None:
-        return SymmetryDefect("closed-set", mask=bad)
-    return None
 
 
 class _Orbits:
@@ -153,15 +115,14 @@ class _Orbits:
         return None
 
 
-def enumerate_symmetries(ppl: PPL, budget: int | None = DEFAULT_BUDGET) -> Iterator[Symmetry]:
-    """Every symmetry exactly once, in lexicographic order of the image tuple.
+def enumerate_symmetries(ppl: PPL,
+                         budget: int | None = DEFAULT_BUDGET) -> Iterator[tuple[int, ...]]:
+    """Every symmetry exactly once, as its image tuple, in lexicographic order.
 
     Raises :class:`BudgetExceededError` mid-stream if the node budget runs
     out; results already yielded are valid but the enumeration is partial.
     """
-    b = _Budget(budget)
-    for perm in _backtrack(ppl, {}, b):
-        yield Symmetry(perm)
+    yield from _backtrack(ppl, {}, _Budget(budget))
 
 
 def count_symmetries(ppl: PPL, budget: int | None = DEFAULT_BUDGET) -> int:
@@ -274,7 +235,7 @@ class _PlaneOrbits:
         if perm is None:
             raise InvariantViolationError(
                 f"no symmetry maps atom {p} to atom {q} fixing the plane of {p1} and {p2}")
-        return PlaneWitness(p, q, p1, p2, Symmetry(perm))
+        return PlaneWitness(p, q, p1, p2, perm)
 
 
 def find_plane_symmetry(ppl: PPL, p: int, q: int,
@@ -288,24 +249,6 @@ def find_plane_symmetry(ppl: PPL, p: int, q: int,
     table = _PlaneOrbits(ppl, budget)
     j = (0 if table.planes else None) if p == q else table.first_planes(p, 1 << q)[0].get(q)
     return None if j is None else table.witness(p, q, j)
-
-
-def verify_plane_witness(ppl: PPL, w: PlaneWitness) -> str | None:
-    """Re-check every invariant of a plane witness; None when all hold."""
-    if w.p1 == w.p2:
-        return "plane atoms are not distinct"
-    if sorted(w.f.perm) != list(range(ppl.n)):
-        return "not a permutation"
-    if w.f.perm[w.p] != w.q:
-        return f"does not map {w.p} to {w.q}"
-    plane = ppl.join_mask((1 << w.p1) | (1 << w.p2))
-    for a in mask_bits(plane):
-        if w.f.perm[a] != a:
-            return f"does not fix plane atom {a}"
-    defect = symmetry_failure(ppl, w.f.perm)
-    if defect is not None:
-        return f"not a symmetry ({defect.kind})"
-    return None
 
 
 def is_plane_transitive(ppl: PPL, budget: int | None = DEFAULT_BUDGET, *,
@@ -327,31 +270,3 @@ def is_plane_transitive(ppl: PPL, budget: int | None = DEFAULT_BUDGET, *,
     return PlaneTransitivityReport(True, witnesses=tuple(
         table.witness(p, q, first[p].get(q, 0)) for p in range(n) for q in range(n)
     ) if witnesses else None)
-
-
-def product_plane_witness(w1: PlaneWitness, w2: PlaneWitness, product: PPL) -> PlaneWitness:
-    """Assemble a product plane witness from factor witnesses.
-
-    The product permutation acts coordinatewise.  The first factor's
-    witness fixes its own plane atom p1, so the plane spanned by
-    (p1, .) pairs over the second factor's plane is fixed pointwise.  All
-    invariants are re-verified against the product; a failure there is a
-    bug, not a search miss.
-    """
-    n1, n2 = len(w1.f.perm), len(w2.f.perm)
-    if n1 * n2 != product.n:
-        raise ValueError("factor witness sizes do not match the product")
-    perm = tuple(w1.f.perm[i] * n2 + w2.f.perm[j]
-                 for i in range(n1) for j in range(n2))
-    w = PlaneWitness(
-        p=w1.p * n2 + w2.p,
-        q=w1.q * n2 + w2.q,
-        p1=w1.p1 * n2 + w2.p1,
-        p2=w1.p1 * n2 + w2.p2,
-        f=Symmetry(perm),
-    )
-    defect = verify_plane_witness(product, w)
-    if defect is not None:
-        raise InvariantViolationError(f"constructed product witness invalid: {defect}")
-    return w
-

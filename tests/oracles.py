@@ -322,14 +322,18 @@ def central_elements(
 # ---------------------------------------------------------------------------
 # symmetries: filter all n! permutations
 
+def preserves_orthogonality(orth: dict[int, set[int]], perm: tuple[int, ...]) -> bool:
+    """Are p and q orthogonal exactly when perm[p] and perm[q] are?"""
+    n = len(perm)
+    return all((q in orth[p]) == (perm[q] in orth[perm[p]])
+               for p in range(n) for q in range(n))
+
+
 def is_symmetry_perm(orth: dict[int, set[int]],
                      family: set[frozenset[int]],
                      perm: tuple[int, ...]) -> bool:
-    n = len(perm)
-    for p in range(n):
-        for q in range(n):
-            if (q in orth[p]) != (perm[q] in orth[perm[p]]):
-                return False
+    if not preserves_orthogonality(orth, perm):
+        return False
     image = {frozenset(perm[i] for i in m) for m in family}
     return image == family
 
@@ -414,6 +418,32 @@ def exists_plane_symmetry(orth: dict[int, set[int]],
     return None if w is None else w[2]
 
 
+def is_plane_witness(orth: dict[int, set[int]],
+                     family: Optional[set[frozenset[int]]],
+                     witness: tuple[int, int, int, int, tuple[int, ...]]) -> bool:
+    """Is ``witness`` = (p, q, p1, p2, perm) a plane witness for (p, q)?
+
+    perm must be a permutation of the states with perm[p] = q, p1 and p2
+    must differ, every atom of the plane they span must be fixed, and perm
+    must be a symmetry.  ``family`` None stands for the property lattice
+    of ``orth``, whose closed sets are the double-perp fixed points: the
+    plane is then the double perp of {p1, p2}, and a permutation is a
+    symmetry when it preserves orthogonality (it then maps every A⊥⊥ to
+    (perm A)⊥⊥).  With a family, the plane is :func:`plane_atoms` and the
+    symmetry test :func:`is_symmetry_perm`.
+    """
+    p, q, p1, p2, perm = witness
+    if sorted(perm) != sorted(orth) or perm[p] != q or p1 == p2:
+        return False
+    if family is None:
+        plane = double_perp(orth, (p1, p2))
+        symmetry = preserves_orthogonality(orth, perm)
+    else:
+        plane = plane_atoms(family, p1, p2)
+        symmetry = is_symmetry_perm(orth, family, perm)
+    return all(perm[r] == r for r in plane) and symmetry
+
+
 def is_plane_transitive_brute(orth: dict[int, set[int]],
                               family: set[frozenset[int]],
                               group: Optional[list[tuple[int, ...]]] = None) -> bool:
@@ -426,6 +456,25 @@ def is_plane_transitive_brute(orth: dict[int, set[int]],
 
 # ---------------------------------------------------------------------------
 # products
+
+def product_plane_witness(
+        w1: tuple[int, int, int, int, tuple[int, ...]],
+        w2: tuple[int, int, int, int, tuple[int, ...]],
+) -> tuple[int, int, int, int, tuple[int, ...]]:
+    """A witness (p, q, p1, p2, perm) for a product of two spaces, composed
+    from one witness of each factor; the pair (i, j) is state i * n2 + j.
+
+    The permutation acts coordinatewise.  The first factor's witness fixes
+    its own plane atom p1, so the plane spanned by the pairs of p1 with the
+    second factor's plane atoms is fixed pointwise.  Nothing is checked
+    here: :func:`is_plane_witness` checks the result against the product.
+    """
+    p, q, p1, _, f = w1
+    r, s, r1, r2, g = w2
+    n2 = len(g)
+    perm = tuple(f[i] * n2 + g[j] for i in range(len(f)) for j in range(n2))
+    return p * n2 + r, q * n2 + s, p1 * n2 + r1, p1 * n2 + r2, perm
+
 
 def product_orth(orth1: dict[int, set[int]],
                  orth2: dict[int, set[int]]) -> dict[tuple[int, int], set[tuple[int, int]]]:

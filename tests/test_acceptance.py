@@ -10,6 +10,7 @@ definition-level oracle (``tests/oracles.py``) or pinned from one."""
 
 import time
 from contextlib import contextmanager
+from dataclasses import astuple
 
 import orthlab as O
 from orthlab.axioms import (
@@ -24,13 +25,7 @@ from orthlab.catalog import SplitMix64
 from orthlab.cli import main
 from orthlab.products import minimal_product, rectangle_family, separated_product
 from orthlab.statespace import property_lattice
-from orthlab.symmetry import (
-    count_symmetries,
-    find_plane_symmetry,
-    is_plane_transitive,
-    product_plane_witness,
-    verify_plane_witness,
-)
+from orthlab.symmetry import count_symmetries, find_plane_symmetry, is_plane_transitive
 
 import oracles as ora
 
@@ -195,7 +190,7 @@ def test_06_plane_transitivity_ground_truth(b2_ppl, b3_ppl, b4_ppl, mo2_ppl,
             assert ora.is_plane_transitive_brute(orth_d, fam) is expect
             if expect:
                 assert len(report.witnesses) == ppl.n * ppl.n
-                assert all(verify_plane_witness(ppl, w) is None
+                assert all(ora.is_plane_witness(orth_d, None, astuple(w))
                            for w in report.witnesses)
             else:
                 first = next((p, q) for p in range(ppl.n) for q in range(ppl.n)
@@ -217,21 +212,9 @@ def _check_all_product_witnesses(ppl1, ppl2, prod, *, family_oracle: bool) -> in
             w1 = cache1.setdefault((i1, i2), find_plane_symmetry(ppl1, i1, i2))
             w2 = cache2.setdefault((j1, j2), find_plane_symmetry(ppl2, j1, j2))
             assert w1 is not None and w2 is not None
-            w = product_plane_witness(w1, w2, prod)
-            assert verify_plane_witness(prod, w) is None
-            perm = w.f.perm
-            assert sorted(perm) == list(range(prod.n))
-            assert (w.p, w.q) == (p, q)
-            assert perm[p] == q
-            assert w.p1 != w.p2
-            assert all((t in orth_d[s]) == (perm[t] in orth_d[perm[s]])
-                       for s in range(prod.n) for t in range(prod.n))
-            if fam is not None:
-                assert ora.is_symmetry_perm(orth_d, fam, perm)
-                assert all(perm[r] == r
-                           for r in ora.plane_atoms(fam, w.p1, w.p2))
-            else:
-                assert perm[w.p1] == w.p1 and perm[w.p2] == w.p2
+            w = ora.product_plane_witness(astuple(w1), astuple(w2))
+            assert w[:2] == (p, q)
+            assert ora.is_plane_witness(orth_d, fam, w)
             checked += 1
     return checked
 

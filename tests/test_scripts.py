@@ -12,8 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from orthlab.errors import CapacityError
-from orthlab.products import separated_product
+from orthlab import statespace
 from orthlab.search import TARGETS
 from orthlab.symmetry import count_symmetries
 
@@ -81,19 +80,20 @@ def test_survey_catalog_products_report_symmetries_and_planes():
 
 def test_survey_prints_unknown_when_a_budget_runs_out(mo3_ppl):
     script = _load_script("survey_catalog.py")
-    assert script.unless_budget(lambda: count_symmetries(mo3_ppl, budget=1)) == "unknown"
-    assert script.unless_budget(lambda: count_symmetries(mo3_ppl)) == "48"
+    assert script.or_unknown(lambda: count_symmetries(mo3_ppl, budget=1)) == "unknown"
+    assert script.or_unknown(lambda: count_symmetries(mo3_ppl)) == "48"
 
 
 def test_survey_prints_unknown_cells_for_a_product_over_the_family_cap(monkeypatch, capsys):
     script = _load_script("survey_catalog.py")
+    real = statespace.meet_closure
 
-    def capped(ss1, ss2):  # stands in for a family cap of fewer sets than these have
-        if ss1.n * ss2.n == 8:
-            raise CapacityError("closure family exceeds cap of 1000000 sets")
-        return separated_product(ss1, ss2)
+    def capped(masks, n):  # a cap of 20 sets: the separated 8-atom products have 36
+        return real(masks, n, max_family=20)
 
-    monkeypatch.setattr(script, "separated_product", capped)
+    # property lattices build their family on its first read, so the cap
+    # fires there, and the cells that read no family still answer
+    monkeypatch.setattr(statespace, "meet_closure", capped)
     monkeypatch.setattr(sys, "argv", ["survey_catalog.py", "--boolean-max", "2", "--lantern-max",
                                       "2", "--products", "--product-atoms", "8"])
     assert script.main() == 0
@@ -103,8 +103,8 @@ def test_survey_prints_unknown_cells_for_a_product_over_the_family_cap(monkeypat
     unknown = [line for line in products if "=unknown" in line]
     assert unknown == [
         f"separated({pair})\tatoms=8\telements=unknown\toc=unknown\tom=unknown"
-        "\tcovering=unknown\tboolean=unknown\tirreducible=unknown\tsymmetries=unknown"
-        "\tplane-transitive=unknown" for pair in ("boolean:2,mo:2", "mo:2,boolean:2")]
+        "\tcovering=unknown\tboolean=unknown\tirreducible=unknown\tsymmetries=128"
+        "\tplane-transitive=no" for pair in ("boolean:2,mo:2", "mo:2,boolean:2")]
     for line in products:
         assert line in unknown or PRODUCT_LINE.fullmatch(line), line
 

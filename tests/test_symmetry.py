@@ -4,21 +4,17 @@ import itertools
 import math
 import random
 from collections import Counter
+from dataclasses import astuple, replace
 
 import pytest
 
 import orthlab as O
 from orthlab.errors import BudgetExceededError, InvariantViolationError
 from orthlab.symmetry import (
-    PlaneWitness,
-    Symmetry,
     count_symmetries,
     enumerate_symmetries,
     find_plane_symmetry,
     is_plane_transitive,
-    product_plane_witness,
-    symmetry_failure,
-    verify_plane_witness,
 )
 from orthlab import symmetry as S
 from orthlab.bitset import mask_bits
@@ -60,11 +56,13 @@ def _random_families():
 
 def test_symmetry_defect_on_orthogonality(mo2_ppl):
     # swapping the two a-atoms while fixing the b-atoms tears a rung apart
-    defect = symmetry_failure(mo2_ppl, (1, 0, 2, 3))
-    assert defect is not None
-    assert defect.kind == "orthogonality"
-    assert defect.pair == (0, 2)
-    assert symmetry_failure(mo2_ppl, (1, 0, 3, 2)) is None
+    orth, fam = _orth_and_family(mo2_ppl)
+    group = list(enumerate_symmetries(mo2_ppl))
+    assert (2 in orth[0]) != (2 in orth[1])  # the pair (0, 2) goes to (1, 2)
+    assert not ora.preserves_orthogonality(orth, (1, 0, 2, 3))
+    assert (1, 0, 2, 3) not in group
+    assert ora.is_symmetry_perm(orth, fam, (1, 0, 3, 2))
+    assert (1, 0, 3, 2) in group
 
 
 def test_symmetry_defect_on_a_closed_set():
@@ -73,14 +71,23 @@ def test_symmetry_defect_on_a_closed_set():
     cs = O.ClosureSystem.from_masks(3, [0b000, 0b001, 0b010, 0b100, 0b011, 0b111])
     ppl = O.PPL(cs, O.OrthoRelation.from_pairs(3, [(0, 1), (0, 2), (1, 2)]),
                 ("a", "b", "c"))
-    defect = symmetry_failure(ppl, (0, 2, 1))
-    assert defect.kind == "closed-set"
-    assert defect.mask == 0b011
+    orth, fam = _orth_and_family(ppl)
+    assert ora.preserves_orthogonality(orth, (0, 2, 1))
+    assert not ora.is_symmetry_perm(orth, fam, (0, 2, 1))
+    assert ppl.cs.permutation_failure((0, 2, 1)) == 0b011
+    assert (0, 2, 1) not in list(enumerate_symmetries(ppl))
 
 
 def test_symmetry_failure_rejects_non_permutations(mo2_ppl):
-    with pytest.raises(ValueError):
-        symmetry_failure(mo2_ppl, (0, 0, 2, 3))
+    # a map that merges two atoms is never a symmetry: the full set's image
+    # loses an atom and leaves the family, and the search yields only bijections
+    orth, fam = _orth_and_family(mo2_ppl)
+    merge = (0, 0, 2, 3)
+    assert not ora.is_symmetry_perm(orth, fam, merge)
+    assert mo2_ppl.cs.permutation_failure(merge) == mo2_ppl.cs.masks[-1]
+    group = list(enumerate_symmetries(mo2_ppl))
+    assert merge not in group
+    assert all(sorted(perm) == list(range(mo2_ppl.n)) for perm in group)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +114,7 @@ def test_enumeration_matches_oracle_exactly(mo2_ppl, b3_ppl, random_batch):
     ppls += _small_products() + _random_families()
     assert any(not ppl.biorthogonal for ppl in ppls)
     for ppl in ppls:
-        got = [s.perm for s in enumerate_symmetries(ppl)]
+        got = list(enumerate_symmetries(ppl))
         orth, fam = _orth_and_family(ppl)
         expected = ora.all_symmetries(orth, fam)
         assert sorted(got) == expected
@@ -133,13 +140,13 @@ def test_pinned_search_matches_oracle():
 
 
 def test_enumeration_is_deterministic(mo3_ppl):
-    first = [s.perm for s in enumerate_symmetries(mo3_ppl)]
-    second = [s.perm for s in enumerate_symmetries(mo3_ppl)]
+    first = list(enumerate_symmetries(mo3_ppl))
+    second = list(enumerate_symmetries(mo3_ppl))
     assert first == second
 
 
 def test_symmetries_form_a_group(mo2_ppl):
-    perms = [s.perm for s in enumerate_symmetries(mo2_ppl)]
+    perms = list(enumerate_symmetries(mo2_ppl))
     n = mo2_ppl.n
     assert tuple(range(n)) in perms
     for f in perms:
@@ -159,26 +166,24 @@ def test_orthogonality_automorphisms_suffice_on_property_lattices(random_batch):
         ppl = O.property_lattice(ss)
         orth, fam = _orth_and_family(ppl)
         for perm in itertools.permutations(range(ss.n)):
-            preserves = all((q in orth[p]) == (perm[q] in orth[perm[p]])
-                            for p in range(ss.n) for q in range(ss.n))
-            assert preserves == (symmetry_failure(ppl, perm) is None) \
-                == ora.is_symmetry_perm(orth, fam, perm)
+            assert ora.preserves_orthogonality(orth, perm) == \
+                ora.is_symmetry_perm(orth, fam, perm)
 
 
-def test_symmetry_failure_matches_oracle_off_property_lattices():
-    # families that are not biorthogonal keep the closed-set check
+def test_permutation_failure_matches_oracle_off_property_lattices():
+    # families that are not biorthogonal need the closed-set check
     ppls = [p for p in _small_products() + _random_families() if not p.biorthogonal]
     closed_set_defects = 0
     for ppl in ppls:
         orth, fam = _orth_and_family(ppl)
         for perm in itertools.islice(itertools.permutations(range(ppl.n)), 0, None, 7):
-            defect = symmetry_failure(ppl, perm)
-            assert (defect is None) == ora.is_symmetry_perm(orth, fam, perm)
-            if defect is not None and defect.kind == "closed-set":
-                closed_set_defects += 1
-                assert defect.mask == next(  # the canonically first one
+            bad = ppl.cs.permutation_failure(perm)
+            assert (bad is None) == ({frozenset(perm[i] for i in m) for m in fam} == fam)
+            if bad is not None:
+                assert bad == next(  # the canonically first one
                     m for m in ppl.cs.masks
                     if frozenset(perm[i] for i in ora.mask_to_set(m)) not in fam)
+                closed_set_defects += ora.preserves_orthogonality(orth, perm)
     assert closed_set_defects
 
 
@@ -198,13 +203,13 @@ def test_budget_exhaustion_raises(mo3_ppl):
 def test_plane_witness_in_the_four_point_space(b4_ppl):
     w = find_plane_symmetry(b4_ppl, 0, 1)
     assert (w.p1, w.p2) == (2, 3)
-    assert w.f.perm == (1, 0, 2, 3)
-    assert verify_plane_witness(b4_ppl, w) is None
+    assert w.perm == (1, 0, 2, 3)
+    assert ora.is_plane_witness(ora.rows_to_dict(b4_ppl.orth.rows), None, astuple(w))
 
 
 def test_identity_pair_witness(b3_ppl):
     w = find_plane_symmetry(b3_ppl, 0, 0)
-    assert w.f.perm == (0, 1, 2)
+    assert w.perm == (0, 1, 2)
     assert (w.p1, w.p2) == (0, 1)
 
 
@@ -227,8 +232,8 @@ def test_plane_witness_exists_exactly_when_brute_force_finds_one(b4_ppl):
                 first = ora.first_plane_witness(orth, fam, p, q)
                 assert (w is None) == (first is None)
                 if w is not None:
-                    assert (w.p1, w.p2, w.f.perm) == first
-                    assert verify_plane_witness(ppl, w) is None
+                    assert (w.p1, w.p2, w.perm) == first
+                    assert ora.is_plane_witness(orth, fam, astuple(w))
                 alone.append(((p, q), w))
         report = is_plane_transitive(ppl)
         if report.transitive:
@@ -243,8 +248,9 @@ def test_minimal_square_of_boolean4_is_plane_transitive(b4_ppl):
     report = is_plane_transitive(prod, budget=2_000_000)
     assert report.transitive
     assert len(report.witnesses) == 256
+    orth, fam = _orth_and_family(prod)
     for w in report.witnesses:
-        assert verify_plane_witness(prod, w) is None
+        assert ora.is_plane_witness(orth, fam, astuple(w))
 
 
 def test_plane_search_calls_on_the_minimal_square_of_boolean4(probes, b4_ppl):
@@ -281,7 +287,7 @@ def test_plane_tables_match_the_oracles_where_planes_are_moved():
         found = {pq: find_plane_symmetry(ppl, *pq) for pq in pairs}
         for pq in pairs:
             expected = ora.exists_plane_symmetry(orth, fam, *pq, group)
-            assert (found[pq] and found[pq].f.perm) == expected
+            assert (found[pq] and found[pq].perm) == expected
             if expected is None:
                 break  # the first pair without a witness ends both searches
         if transitive:
@@ -297,12 +303,18 @@ def test_find_plane_symmetry_range_check(b3_ppl):
 
 
 def test_verify_plane_witness_catches_tampering(b4_ppl):
+    # the oracle check, on the property lattice's definition and on the family
     w = find_plane_symmetry(b4_ppl, 0, 1)
-    assert w.f.perm[w.p] == w.q == 1
-    bad = PlaneWitness(p=w.p, q=w.q, p1=w.p1, p2=w.p2, f=Symmetry((0, 1, 2, 3)))
-    assert verify_plane_witness(b4_ppl, bad) is not None
-    degenerate = PlaneWitness(p=w.p, q=w.q, p1=2, p2=2, f=w.f)
-    assert verify_plane_witness(b4_ppl, degenerate) is not None
+    assert w.perm[w.p] == w.q == 1 and (w.p1, w.p2) == (2, 3)
+    orth, fam = _orth_and_family(b4_ppl)
+    for family in (None, fam):
+        assert ora.is_plane_witness(orth, family, astuple(w))
+        for bad in (replace(w, perm=(0, 1, 2, 3)),  # p no longer goes to q
+                    replace(w, perm=(1, 0, 3, 2)),  # moves the plane's atoms
+                    replace(w, perm=(1, 1, 2, 3)),  # not a permutation
+                    replace(w, perm=(1, 0, 2)),
+                    replace(w, p1=2, p2=2)):  # no plane
+            assert not ora.is_plane_witness(orth, family, astuple(bad)), bad
 
 
 @pytest.mark.parametrize("fixture,transitive,pair", [
@@ -319,8 +331,10 @@ def test_plane_transitivity_catalog(fixture, transitive, pair, request):
     assert report.failing_pair == pair
     if transitive:
         assert len(report.witnesses) == ppl.n * ppl.n
+        orth, fam = _orth_and_family(ppl)
         for w in report.witnesses:
-            assert verify_plane_witness(ppl, w) is None
+            assert ora.is_plane_witness(orth, None, astuple(w))
+            assert ora.is_plane_witness(orth, fam, astuple(w))
 
 
 def test_plane_transitivity_matches_brute_force(b2_ppl, b3_ppl, b4_ppl, mo2_ppl):
@@ -383,26 +397,17 @@ def test_product_plane_witness_composes(b4_ppl):
     prod = O.minimal_product(b4_ppl, b4_ppl)
     w1 = find_plane_symmetry(b4_ppl, 0, 1)
     w2 = find_plane_symmetry(b4_ppl, 2, 3)
-    w = product_plane_witness(w1, w2, prod)
-    assert w.p == 0 * 4 + 2 and w.q == 1 * 4 + 3
-    assert verify_plane_witness(prod, w) is None
+    w = ora.product_plane_witness(astuple(w1), astuple(w2))
+    assert w[:2] == (0 * 4 + 2, 1 * 4 + 3)
+    assert ora.is_plane_witness(*_orth_and_family(prod), w)
 
 
-def test_product_plane_witness_rejects_size_mismatch(b3_ppl, b4_ppl):
-    prod = O.minimal_product(b4_ppl, b4_ppl)
-    w3 = find_plane_symmetry(b3_ppl, 0, 0)
-    w4 = find_plane_symmetry(b4_ppl, 0, 0)
-    with pytest.raises(ValueError):
-        product_plane_witness(w3, w4, prod)
-
-
-def test_product_plane_witness_verifies_itself(b4_ppl):
+def test_product_plane_witness_of_a_bad_factor_fails_the_check(b4_ppl):
     prod = O.minimal_product(b4_ppl, b4_ppl)
     w1 = find_plane_symmetry(b4_ppl, 0, 1)
-    fake = PlaneWitness(p=w1.p, q=w1.q, p1=w1.p1, p2=w1.p2,
-                        f=Symmetry((1, 0, 3, 2)))  # not plane-fixing
-    with pytest.raises(InvariantViolationError):
-        product_plane_witness(fake, w1, prod)
+    fake = replace(w1, perm=(1, 0, 3, 2))  # not plane-fixing
+    w = ora.product_plane_witness(astuple(fake), astuple(w1))
+    assert not ora.is_plane_witness(*_orth_and_family(prod), w)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +508,7 @@ def test_orbit_records_skip_only_implied_probes(probes, b4_ppl, mo3_ppl, random_
         skipped += len(calls) - len(probes)
         assert report.failing_pair == failing
         if report.transitive:
-            assert [(w.p, w.q, w.p1, w.p2, w.f.perm) for w in report.witnesses] == witnesses
+            assert [astuple(w) for w in report.witnesses] == witnesses
             # then one probe per witness, the per-pair scan's successful one
             assert probes[len(tables):] == moved
             assert len(probes) <= len(calls)
@@ -573,7 +578,7 @@ def test_meet_irreducibles_below_the_coatoms_are_checked():
     ss = O.boolean_space(6)
     ppl = O.PPL(O.ClosureSystem.from_masks(6, masks), ss.orth, ss.labels)
     assert 0b101100 in ppl.cs.meet_irreducibles
-    got = [s.perm for s in enumerate_symmetries(ppl)]
+    got = list(enumerate_symmetries(ppl))
     assert got == ora.all_symmetries(*_orth_and_family(ppl)) == \
         [(0, 1, 2, 3, 4, 5), (0, 1, 5, 3, 4, 2)]
     assert count_symmetries(ppl) == 2
@@ -625,5 +630,4 @@ def test_separated_square_of_mo3_is_plane_transitive(mo3, mo3_ppl):
     assert len(report.witnesses) == 36 * 36 == 1_296
     orth, fam = _orth_and_family(prod)
     for w in report.witnesses:
-        assert verify_plane_witness(prod, w) is None
-        assert ora.is_symmetry_perm(orth, fam, w.f.perm)
+        assert ora.is_plane_witness(orth, fam, astuple(w))
