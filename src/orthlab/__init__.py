@@ -12,7 +12,7 @@ from .products import (minimal_product, product_orthogonality, rectangle_family,
 from .symmetry import (DEFAULT_BUDGET, PlaneTransitivityReport, PlaneWitness,
                        count_symmetries, enumerate_symmetries, find_plane_symmetry,
                        is_plane_transitive)
-from .catalog import SplitMix64, boolean_space, mo_lantern, random_space
+from .catalog import SplitMix64, boolean_space, mo_lantern, random_space, random_spaces
 from .formats import (parse_ppl, parse_statespace, serialize_ppl, serialize_statespace)
 from .dot import export_dot
 from .errors import (BudgetExceededError, CapacityError, CouldNotSeparateError,

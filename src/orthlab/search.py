@@ -11,10 +11,12 @@ A search spec names a target predicate and a generator schedule::
 
 Instance i derives everything from one splitmix64 stream seeded with
 ``seed + i``: two sizes in 1..nmax, then two seeds for
-:func:`orthlab.catalog.random_space`.  A hit is an instance satisfying
-the target; hits carry the full serialized factor spaces so they can be
-replayed, and any hit contradicts a structural claim this package is
-built around.
+:func:`orthlab.catalog.random_space`.  The factors of a block of
+instances are drawn together by :func:`orthlab.catalog.random_spaces`,
+which gives each the space ``random_space`` gives.  A hit is an instance
+satisfying the target; hits carry the full serialized factor spaces so
+they can be replayed, and any hit contradicts a structural claim this
+package is built around.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 
 from .axioms import (check_boolean, check_covering_law, check_orthomodular,
                      find_compatible_orthocomplementation)
-from .catalog import SplitMix64, random_space
-from .errors import CouldNotSeparateError, ParseError
+from .catalog import SplitMix64, random_spaces
+from .errors import CapacityError, CouldNotSeparateError, ParseError
 from .formats import _tokenize, serialize_statespace
 from .products import minimal_product, separated_product
 from .statespace import PPL, StateSpace, property_lattice
@@ -143,32 +145,75 @@ def parse_search_spec(text: str) -> SearchSpec:
         raise ParseError(f"bad value in search spec: {exc}", 0, 0) from exc
 
 
+#: Instances drawn per block: two factors each, so a block asks
+#: :func:`random_spaces` for at most 1,024 seeds and holds that many spaces.
+BLOCK = 512
+
+
+def _draw_factors(factors: list[tuple[int, int]],
+                  density: float) -> dict[tuple[int, int], StateSpace | Exception]:
+    """``random_space(n, density, seed)`` for each (n, seed), or what that call raises.
+
+    One :func:`random_spaces` call draws all seeds of one n.  An error it
+    raises for its (n, density) is kept for each of them, so the search
+    raises it at the first instance that reads such a factor.
+    """
+    by_n: dict[int, list[int]] = {}
+    for n, seed in factors:
+        by_n.setdefault(n, []).append(seed)
+    drawn: dict[tuple[int, int], StateSpace | Exception] = {}
+    for n, seeds in by_n.items():
+        try:
+            spaces = random_spaces(n, density, seeds)
+        except (ValueError, CapacityError) as exc:
+            spaces = [exc] * len(seeds)
+        drawn.update(zip(((n, seed) for seed in seeds), spaces))
+    return drawn
+
+
+def _factor(drawn: StateSpace | Exception) -> StateSpace:
+    if isinstance(drawn, Exception):
+        raise drawn
+    return drawn
+
+
 def run_search(spec: SearchSpec) -> SearchReport:
-    """Evaluate the target over the seeded instance schedule; deterministic."""
+    """Evaluate the target over the seeded instance schedule; deterministic.
+
+    The factors of a block of instances are drawn first, and the target
+    then runs instance by instance, so the report and the instance at
+    which an error surfaces are those of drawing each factor as its
+    instance comes.
+    """
     if spec.count < 0 or spec.nmax < 1:
         raise ValueError("count must be >= 0 and nmax >= 1")
     target = TARGETS[spec.target]
     instances = []
     hits = []
-    for i in range(spec.count):
-        inst_seed = spec.seed + i
-        rng = SplitMix64(inst_seed)
-        n1 = 1 + rng.next_below(spec.nmax)
-        n2 = 1 + rng.next_below(spec.nmax)
-        seed1, seed2 = rng.next_u64(), rng.next_u64()
-        try:
-            ss1 = random_space(n1, spec.density, seed1)
-            ss2 = random_space(n2, spec.density, seed2)
-        except CouldNotSeparateError as exc:
-            instances.append(InstanceResult(i, inst_seed, n1, n2, "invalid", str(exc)))
-            continue
-        detail = target(ss1, ss2)
-        if detail is None:
-            instances.append(InstanceResult(i, inst_seed, n1, n2, "pass"))
-        else:
-            result = InstanceResult(i, inst_seed, n1, n2, "hit", detail)
-            instances.append(result)
-            hits.append(Hit(result, serialize_statespace(ss1), serialize_statespace(ss2)))
+    for start in range(0, spec.count, BLOCK):
+        block = []
+        for i in range(start, min(spec.count, start + BLOCK)):
+            rng = SplitMix64(spec.seed + i)
+            n1 = 1 + rng.next_below(spec.nmax)
+            n2 = 1 + rng.next_below(spec.nmax)
+            block.append((i, n1, n2, rng.next_u64(), rng.next_u64()))
+        drawn = _draw_factors([f for _, n1, n2, s1, s2 in block for f in ((n1, s1), (n2, s2))],
+                              spec.density)
+        for i, n1, n2, seed1, seed2 in block:
+            inst_seed = spec.seed + i
+            try:
+                ss1 = _factor(drawn[n1, seed1])
+                ss2 = _factor(drawn[n2, seed2])
+            except CouldNotSeparateError as exc:
+                instances.append(InstanceResult(i, inst_seed, n1, n2, "invalid", str(exc)))
+                continue
+            detail = target(ss1, ss2)
+            if detail is None:
+                instances.append(InstanceResult(i, inst_seed, n1, n2, "pass"))
+            else:
+                result = InstanceResult(i, inst_seed, n1, n2, "hit", detail)
+                instances.append(result)
+                hits.append(Hit(result, serialize_statespace(ss1), serialize_statespace(ss2)))
     return SearchReport(spec, tuple(instances), tuple(hits))
 
 

@@ -14,7 +14,9 @@ The corpus holds the single-source commands on the Boolean spaces
 boolean:1-7, the lanterns mo:2-4 and 30 seeded random spaces; both
 products, with and without ``--axioms``, over catalog pairs of up to 36
 atoms; serialized and malformed ``.statespace`` and ``.ppl`` documents;
-and the three search specs of the benchmark's ``search`` workload.
+the three search specs of the benchmark's ``search`` workload; and five
+more search specs whose factors give up, are complete graphs or single
+points, or whose product exceeds the ground-set cap.
 Only the standard library is imported here; orthlab comes from
 ``PYTHONPATH``.
 """
@@ -36,6 +38,17 @@ DOCUMENT = (("validate",), ("lattice",), ("lattice", "--dot"), ("axioms",))
 CATALOG = tuple(f"boolean:{k}" for k in range(1, 6)) + ("mo:2", "mo:3", "mo:4")
 SEARCH_TARGETS = ("separated-orthomodular-nonboolean",
                   "minimal-orthocomplementation-nontrivial", "minimal-covering-nontrivial")
+#: Search specs beyond the benchmark's, as (name, target, count, nmax, density,
+#: seed): factors that give up after 10,000 attempts beside ones that
+#: separate (density 0.05) or all of them (density 0.0), complete graphs,
+#: one-state factors, and a product over the ground-set cap (exit 3).
+EDGE_SEARCHES = (
+    ("sparse", "minimal-covering-nontrivial", 100, 6, 0.05, 1),
+    ("empty", "separated-orthomodular-nonboolean", 30, 2, 0.0, 1),
+    ("complete", "minimal-orthocomplementation-nontrivial", 30, 8, 1.0, 1),
+    ("points", "separated-orthomodular-nonboolean", 30, 1, 0.5, 1),
+    ("over-capacity", "minimal-covering-nontrivial", 30, 65, 0.5, 1),
+)
 
 #: Documents no parser should accept, and edge cases around the accepted ones.
 MALFORMED = {
@@ -117,6 +130,11 @@ def commands(work: Path) -> list[list[str]]:
     for target in SEARCH_TARGETS:
         path = work / f"{target}.search"
         path.write_text(f"search v1\ntarget {target}\ncount 300\nnmax 5\ndensity 0.5\nseed 1\n")
+        out.append(["search", str(path)])
+    for name, target, count, nmax, density, seed in EDGE_SEARCHES:
+        path = work / f"{name}.search"
+        path.write_text(f"search v1\ntarget {target}\ncount {count}\nnmax {nmax}\n"
+                        f"density {density}\nseed {seed}\n")
         out.append(["search", str(path)])
     return out
 

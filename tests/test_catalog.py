@@ -167,6 +167,64 @@ def test_random_space_gives_up_where_its_specification_does(monkeypatch):
             == {0: {1}, 1: {0}}
 
 
+def _one_by_one(n, density, seeds):
+    """``random_space`` per seed: the space, or the message of the error it raises."""
+    out = []
+    for seed in seeds:
+        try:
+            out.append(O.random_space(n, density, seed).orth.rows)
+        except CouldNotSeparateError as exc:
+            out.append(str(exc))
+    return out
+
+
+def _batched(n, density, seeds):
+    return [str(s) if isinstance(s, CouldNotSeparateError) else s.orth.rows
+            for s in O.random_spaces(n, density, seeds)]
+
+
+def test_random_spaces_equals_one_call_per_seed(monkeypatch):
+    # One call per (n, density): its seeds resolve at the first attempt,
+    # after many, or (under the lowered cap) never, all in the same lanes.
+    seeds = list(range(51))
+    for n in range(1, 9):
+        for density in QUICK_DENSITIES:
+            assert _batched(n, density, seeds) == _one_by_one(n, density, seeds), (n, density)
+    monkeypatch.setattr(catalog, "MAX_SEPARATION_ATTEMPTS", 40)
+    mixed = 0
+    for n in range(1, 9):
+        for density in (0.0, 0.1):
+            got = _batched(n, density, seeds)
+            assert got == _one_by_one(n, density, seeds), (n, density)
+            mixed += len({type(g) for g in got}) == 2
+    assert mixed >= 3  # batches where some seeds separate and others give up
+
+
+def test_random_spaces_edges():
+    assert O.random_spaces(5, 0.5, []) == []
+    seeds = [3, 1 << 64 | 3, 3, -5]  # a seed is read mod 2**64; the message keeps it as given
+    spaces = O.random_spaces(4, 0.5, iter(seeds))
+    assert spaces[0] == spaces[1] == spaces[2] == O.random_space(4, 0.5, 3)
+    assert spaces[3] == O.random_space(4, 0.5, (1 << 64) - 5)
+    gave_up = O.random_spaces(2, 0.0, [1 << 64 | 3])[0]
+    assert isinstance(gave_up, CouldNotSeparateError)
+    assert str(gave_up).endswith(f"seed={1 << 64 | 3})")
+    with pytest.raises(ValueError):
+        O.random_spaces(0, 0.5, [1])
+    with pytest.raises(CapacityError):
+        O.random_spaces(65, 0.5, [1])
+    with pytest.raises(ValueError):
+        O.random_spaces(3, -0.1, [1])
+
+
+def test_random_spaces_splits_wide_draws(monkeypatch):
+    # more lanes than one pass may hold: the seeds are drawn in chunks
+    monkeypatch.setattr(catalog, "_MAX_LANES", 60)  # two seeds of n = 8 per pass
+    seeds = list(range(20))
+    assert _batched(8, 0.5, seeds) == _one_by_one(8, 0.5, seeds)
+    assert _batched(1, 0.5, seeds) == _one_by_one(1, 0.5, seeds)
+
+
 # ---------------------------------------------------------------------------
 # generator references
 

@@ -3,10 +3,14 @@
 import pytest
 
 import orthlab as O
-from orthlab import products, search, statespace
+from orthlab import catalog, products, search, statespace
 from orthlab.catalog import SplitMix64
-from orthlab.errors import ParseError
+from orthlab.errors import CapacityError, CouldNotSeparateError, ParseError
 from orthlab.search import (
+    BLOCK,
+    Hit,
+    InstanceResult,
+    SearchReport,
     SearchSpec,
     TARGETS,
     parse_search_spec,
@@ -87,6 +91,98 @@ def test_run_search_rejects_bad_parameters():
         run_search(SearchSpec("minimal-covering-nontrivial", -1))
     with pytest.raises(ValueError):
         run_search(SearchSpec("minimal-covering-nontrivial", 1, nmax=0))
+
+
+def _search_one_by_one(spec):
+    """The search drawing each factor as its instance comes: one random_space per factor."""
+    if spec.count < 0 or spec.nmax < 1:
+        raise ValueError("count must be >= 0 and nmax >= 1")
+    target = TARGETS[spec.target]
+    instances, hits = [], []
+    for i in range(spec.count):
+        rng = SplitMix64(spec.seed + i)
+        n1 = 1 + rng.next_below(spec.nmax)
+        n2 = 1 + rng.next_below(spec.nmax)
+        seed1, seed2 = rng.next_u64(), rng.next_u64()
+        try:
+            ss1 = O.random_space(n1, spec.density, seed1)
+            ss2 = O.random_space(n2, spec.density, seed2)
+        except CouldNotSeparateError as exc:
+            instances.append(InstanceResult(i, spec.seed + i, n1, n2, "invalid", str(exc)))
+            continue
+        detail = target(ss1, ss2)
+        if detail is None:
+            instances.append(InstanceResult(i, spec.seed + i, n1, n2, "pass"))
+        else:
+            result = InstanceResult(i, spec.seed + i, n1, n2, "hit", detail)
+            instances.append(result)
+            hits.append(Hit(result, O.serialize_statespace(ss1), O.serialize_statespace(ss2)))
+    return SearchReport(spec, tuple(instances), tuple(hits))
+
+
+@pytest.mark.parametrize("density", [0.0, 0.05, 0.3, 0.5, 1.0])
+def test_run_search_equals_drawing_each_factor_in_turn(density, monkeypatch):
+    # a lower cap keeps the give-ups of the sparse densities cheap
+    monkeypatch.setattr(catalog, "MAX_SEPARATION_ATTEMPTS", 200)
+    for nmax in (1, 3, 6, 8):
+        spec = SearchSpec("separated-orthomodular-nonboolean", 40, nmax=nmax,
+                          density=density, seed=nmax)
+        assert run_search(spec) == _search_one_by_one(spec), nmax
+
+
+def test_run_search_hits_equal_drawing_each_factor_in_turn(monkeypatch):
+    monkeypatch.setitem(TARGETS, "always", lambda s1, s2: "made-up finding")
+    spec = SearchSpec("always", 25, nmax=4, density=0.4, seed=3)
+    report = run_search(spec)
+    assert len(report.hits) == 25 and report == _search_one_by_one(spec)
+
+
+@pytest.mark.parametrize("spec,error,message", [
+    # instance 16 builds a product over the cap before any factor of 65 states
+    (SearchSpec("minimal-covering-nontrivial", 30, nmax=65, seed=1), CapacityError,
+     "product ground set of 46*20 atoms exceeds capacity 64"),
+    # instance 19 draws a first factor of 65 states
+    (SearchSpec("quiet", 30, nmax=65, seed=1), CapacityError, "65 states exceed capacity 64"),
+    # instance 0 draws a first factor of 49 states, then a second of 65
+    (SearchSpec("quiet", 3, nmax=65, seed=21), CapacityError, "65 states exceed capacity 64"),
+    (SearchSpec("quiet", 3, density=1.5), ValueError, "density must lie in [0, 1]"),
+])
+def test_run_search_raises_where_drawing_each_factor_in_turn_does(spec, error, message,
+                                                                   monkeypatch):
+    monkeypatch.setitem(TARGETS, "quiet", lambda s1, s2: None)
+    for run in (run_search, _search_one_by_one):
+        with pytest.raises(error) as err:
+            run(spec)
+        assert str(err.value) == message
+
+
+def test_a_second_factor_over_capacity_is_never_drawn_after_a_give_up(monkeypatch):
+    # instance 0's first factor (49 states) gives up, so its second (65) is not drawn
+    monkeypatch.setattr(catalog, "MAX_SEPARATION_ATTEMPTS", 5)
+    monkeypatch.setitem(TARGETS, "quiet", lambda s1, s2: None)
+    spec = SearchSpec("quiet", 1, nmax=65, density=0.0, seed=21)
+    report = run_search(spec)
+    assert [r.status for r in report.instances] == ["invalid"]
+    assert report == _search_one_by_one(spec)
+
+
+def test_run_search_of_no_instances_draws_nothing():
+    spec = SearchSpec("minimal-covering-nontrivial", 0, density=1.5)
+    assert run_search(spec) == _search_one_by_one(spec) == SearchReport(spec, (), ())
+
+
+def test_run_search_draws_at_most_one_block_per_call(monkeypatch):
+    sizes = []
+
+    def recorded(n, density, seeds):
+        sizes.append(len(seeds))
+        return catalog.random_spaces(n, density, seeds)
+
+    monkeypatch.setattr(search, "random_spaces", recorded)
+    spec = SearchSpec("minimal-covering-nontrivial", 2 * BLOCK + 100, nmax=1)
+    report = run_search(spec)
+    assert sizes == [2 * BLOCK, 2 * BLOCK, 200]  # one size, both factors
+    assert report == _search_one_by_one(spec)
 
 
 # ---------------------------------------------------------------------------
