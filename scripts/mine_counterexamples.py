@@ -9,13 +9,13 @@ factors).  Each target gets one summary line; a hit is printed as the
 search report's ``hit`` lines, which hold its replayable inputs, and
 makes the script exit 1.  An error ends the run with one ``error`` line
 on stderr, as in the ``orthlab`` command: exit 3 when a capacity or a
-search budget runs out, 2 for an invalid setting or another orthlab error.
+search budget runs out, 2 for an invalid setting or any other error.
 """
 
 import argparse
 import sys
 
-from orthlab.errors import BudgetExceededError, CapacityError, OrthlabError
+from orthlab.cli import error_exit
 from orthlab.search import SearchSpec, TARGETS, render_report, run_search
 
 
@@ -40,9 +40,8 @@ def main() -> int:
         try:
             report = run_search(SearchSpec(target, args.count, nmax=args.nmax,
                                            density=args.density, seed=args.seed))
-        except (OrthlabError, ValueError) as exc:
-            print(f"error\t{exc}", file=sys.stderr)
-            return 3 if isinstance(exc, (CapacityError, BudgetExceededError)) else 2
+        except Exception as exc:
+            return error_exit(exc)
         lines = render_report(report).splitlines(keepends=True)
         if args.full_report:  # the summary line below replaces the report's own
             sys.stdout.writelines(line for line in lines if not line.startswith("summary\t"))

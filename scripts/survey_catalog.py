@@ -9,7 +9,9 @@ of every catalog pair that fits the atom budget.  A cell prints
 needs a closed family over the family cap: the element count and the
 axiom cells read the family, the symmetry count and the plane verdict
 do not.  A product that cannot be built at all prints ``unknown`` in
-every cell.
+every cell.  Any other error ends the run with one ``error`` line on
+stderr, as in the ``orthlab`` command: exit 3 when a capacity runs out,
+2 otherwise.
 """
 
 import argparse
@@ -17,6 +19,7 @@ import sys
 
 import orthlab as O
 from orthlab.axioms import axiom_suite
+from orthlab.cli import error_exit
 from orthlab.errors import BudgetExceededError, CapacityError
 from orthlab.products import minimal_product, separated_product
 from orthlab.statespace import property_lattice
@@ -79,8 +82,14 @@ def main() -> int:
                     help="also profile catalog products")
     ap.add_argument("--product-atoms", type=int, default=16,
                     help="atom budget for product pairs (default 16)")
-    args = ap.parse_args()
+    try:
+        survey(ap.parse_args())
+    except Exception as exc:
+        return error_exit(exc)
+    return 0
 
+
+def survey(args) -> None:
     members = [(f"boolean:{n}", O.boolean_space(n))
                for n in range(1, args.boolean_max + 1)]
     members += [(f"mo:{n}", O.mo_lantern(n))
@@ -101,7 +110,6 @@ def main() -> int:
                                    lambda: minimal_product(p1, p2)))
                 print(product_line(f"separated({name1},{name2})", ss1.n * ss2.n,
                                    lambda: property_lattice(separated_product(ss1, ss2))))
-    return 0
 
 
 if __name__ == "__main__":

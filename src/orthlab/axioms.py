@@ -7,16 +7,17 @@ tests only the conditions its input can break; what the perp Galois
 connection guarantees on a valid input is proved in the checker's
 docstring instead of scanned.  Scans run in the canonical order, so the
 first counterexample found is deterministic.  The orthomodularity,
-covering and distributivity checkers decide a failure on the first n + 1
-elements, ∅ and the singletons, from joins alone (the first two only
-while the family is not built), and read the family only where those
-pass.  Certificates carry the atom sets involved; replaying one against
-the same instance must reproduce the violation.
+covering and distributivity checkers walk the elements with
+:func:`_walk`, which reads the first n + 1, ∅ and the singletons,
+through joins while the family is not built, so a failure among them
+reads no family.  Certificates carry the atom sets involved; replaying
+one against the same instance must reproduce the violation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 from .bitset import AtomSet, canonical_key, mask_bits
@@ -56,20 +57,27 @@ def _report(axiom: str, cert: Certificate | None, checked: int) -> AxiomReport:
     return AxiomReport(axiom, cert is None, cert, CheckStats(checked))
 
 
-def _t1_prefix(ppl: PPL) -> Iterator[tuple[int, list[int]]]:
-    """The first n + 1 elements of a valid ppl, each with its one-point extensions.
+def _walk(ppl: PPL) -> Iterator[tuple[int, list[int]]]:
+    """Every element of a valid ppl in canonical order, with its one-point extensions.
 
-    A T1 family holds ∅ and every singleton, and these are all its sets
-    of at most one atom, so the canonical order starts ∅, {0}, …, {n−1}.
-    Each element a comes with ``ext``, ext[r] = cl(a ∪ {r}) as a mask:
-    the singletons for ∅ and the pair joins cl{p, r} for {p}.  Only joins
-    are read, never the family.
+    Each element a comes with ``ext``, ext[r] = cl(a ∪ {r}) as a mask,
+    which is a itself when r lies in a.  A T1 family holds ∅ and every
+    singleton, and these are all its sets of at most one atom, so the
+    canonical order starts ∅, {0}, …, {n−1}.  While the family is not
+    built, these first n + 1 elements are read through joins (the
+    singletons for ∅, the pair joins cl{p, r}, r ≠ p, for {p}), and the
+    family is built only when the walk goes past them.
     """
-    n, join = ppl.n, ppl.join_mask
-    yield 0, [1 << r for r in range(n)]
-    for p in range(n):
-        a = 1 << p
-        yield a, [join(a | 1 << r) for r in range(n)]
+    n, start = ppl.n, 0
+    if not ppl.has_family:
+        join, start = ppl.join_mask, n + 1
+        yield 0, [1 << r for r in range(n)]
+        for p in range(n):
+            a = 1 << p
+            yield a, [join(a | 1 << r) if r != p else a for r in range(n)]
+    cs = ppl.cs
+    for a in cs.masks[start:]:
+        yield a, cs.one_point_extensions(a)
 
 
 def _first_failure(ppl: PPL, elements: Iterable[tuple[int, list[int]]],
@@ -77,9 +85,9 @@ def _first_failure(ppl: PPL, elements: Iterable[tuple[int, list[int]]],
                    ) -> tuple[Certificate | None, int]:
     """The first certificate ``failure`` gives on ``elements``, and the count
     of one-point extensions, n - |a| per element visited."""
-    checked = 0
+    n, checked = ppl.n, 0
     for a, ext in elements:
-        checked += ppl.n - a.bit_count()
+        checked += n - a.bit_count()
         if (cert := failure(ppl, a, ext)) is not None:
             return cert, checked
     return None, checked
@@ -166,16 +174,17 @@ def check_orthomodular(ppl: PPL) -> AxiomReport:
 
     The first d found this way need not be the a of the canonically first
     failing pair, so a failing verdict hands over to the exact scan of
-    :func:`_orthomodular_failure` from the first element.  A ppl whose
-    family is not built yet runs that scan on :func:`_t1_prefix` first,
-    and reads the family only if the prefix passes.  ``checked`` counts
-    a's one-point extensions, n - |a|, for each element a visited: every
-    element when the law holds, and those up to the certificate's a when
-    it fails.
+    :func:`_orthomodular_failure` along :func:`_walk`.  A ppl whose family
+    is not built yet runs that scan on the walk's first n + 1 elements
+    first, reads the family only if they pass, and resumes the same walk
+    past them if the bitmaps fail.  ``checked`` counts a's one-point
+    extensions, n - |a|, for each element a visited: every element when
+    the law holds, and those up to the certificate's a when it fails.
     """
     _require_complement(ppl)
+    walk, checked = _walk(ppl), 0
     if not ppl.has_family:
-        cert, checked = _first_failure(ppl, _t1_prefix(ppl), _orthomodular_failure)
+        cert, checked = _first_failure(ppl, islice(walk, ppl.n + 1), _orthomodular_failure)
         if cert is not None:
             return _report("orthomodular", cert, checked)
     cs = ppl.cs
@@ -190,12 +199,11 @@ def check_orthomodular(ppl: PPL) -> AxiomReport:
             sup &= outside[low.bit_length() - 1]
             ap ^= low
         if sup & (sup - 1):
-            elements = ((a, [masks[k] for k in cs.one_point_extensions(a)]) for a in masks)
-            cert, checked = _first_failure(ppl, elements, _orthomodular_failure)
+            cert, rest = _first_failure(ppl, walk, _orthomodular_failure)
             if cert is None:
                 raise InvariantViolationError(
                     "the orthomodularity criterion fails but no pair a ⊆ b does")
-            return _report("orthomodular", cert, checked)
+            return _report("orthomodular", cert, checked + rest)
     checked = len(masks) * cs.n - sum(map(int.bit_count, masks))
     return _report("orthomodular", None, checked)
 
@@ -231,32 +239,15 @@ def check_covering_law(ppl: PPL) -> AxiomReport:
 
     The family must be T1 (``ValueError`` otherwise), as a valid PPL's
     is, so the atoms are the singletons {r} and a ∨ {r} = cl(a ∪ {r}).
-    Elements are tested one at a time in canonical order by
-    :func:`_covering_failure`: on :func:`_t1_prefix` first while the
-    family is not built, and on the whole family, from its first element,
-    if the prefix passes.  The certificate is the one an exhaustive scan
-    of the pairs and of the elements between reports.  ``checked`` counts
+    Elements are tested one at a time along :func:`_walk` by
+    :func:`_covering_failure`, so a failure among ∅ and the singletons
+    reads no family.  The certificate is the one an exhaustive scan of
+    the pairs and of the elements between reports.  ``checked`` counts
     the one-point extensions computed.
     """
     if not ppl.is_t1:
         raise ValueError("the covering law is checked on T1 families only")
-    if not ppl.has_family:
-        cert, checked = _first_failure(ppl, _t1_prefix(ppl), _covering_failure)
-        if cert is not None:
-            return _report("covering", cert, checked)
-    cs = ppl.cs
-    masks = cs.masks
-    checked = 0
-    for a in masks:
-        ext = cs.one_point_extensions(a)
-        rest = cs.n - a.bit_count()
-        checked += rest
-        # the sum test of _covering_failure on element indices, which spares
-        # mapping every extension to its mask where a passes
-        if sum((masks[k] & ~a).bit_count() for k in set(ext)) != rest \
-                and (cert := _covering_failure(ppl, a, [masks[k] for k in ext])) is not None:
-            return _report("covering", cert, checked)
-    return _report("covering", None, checked)
+    return _report("covering", *_first_failure(ppl, _walk(ppl), _covering_failure))
 
 
 def _covering_failure(ppl: PPL, a: int, ext: list[int]) -> Certificate | None:
@@ -265,11 +256,11 @@ def _covering_failure(ppl: PPL, a: int, ext: list[int]) -> Certificate | None:
     a ∨ {r} = cl(a ∪ {r}) covers a exactly when cl(a ∪ {s}) equals it for
     every s in it outside a (the criterion of
     :meth:`ClosureSystem.upper_covers`).  a passes without the per-atom
-    scan when the sizes |k∖a| of its distinct one-point extensions k sum
-    to |ground∖a|.  The sets {r ∉ a : cl(a ∪ {r}) = k} partition
-    ground∖a, and each lies inside k∖a, so equal sums force every one of
-    them to be all of k∖a: every extension, and so every join a ∨ {r},
-    covers a.  Where the sum differs, some extension cl(a ∪ {r}) fails to
+    scan when the sizes |k∖a| = |k| - |a| of its distinct one-point
+    extensions k sum to |ground∖a|.  The sets {r ∉ a : cl(a ∪ {r}) = k}
+    partition ground∖a, and each lies inside k∖a, so equal sums force
+    every one of them to be all of k∖a: every extension, and so every
+    join a ∨ {r}, covers a.  Where the sum differs, some extension cl(a ∪ {r}) fails to
     cover a, and the per-atom scan, over r ∉ a in ascending order, only
     builds the certificate.
 
@@ -278,11 +269,10 @@ def _covering_failure(ppl: PPL, a: int, ext: list[int]) -> Certificate | None:
     j∖a: any m strictly between contains one of them, which is
     canonically no later than m.
     """
-    n = ppl.n
-    rest = ((1 << n) - 1) & ~a
-    if sum((k & ~a).bit_count() for k in set(ext)) == rest.bit_count():
+    n, size, distinct = ppl.n, a.bit_count(), set(ext)
+    if sum(map(int.bit_count, distinct)) - len(distinct) * size == n - size:
         return None
-    for r in mask_bits(rest):
+    for r in mask_bits(((1 << n) - 1) & ~a):
         j = ext[r]
         between = [ext[s] for s in mask_bits(j & ~a) if ext[s] != j]
         if between:
@@ -302,69 +292,55 @@ def check_boolean(ppl: PPL) -> AxiomReport:
     distributive exactly when it is the full powerset (Birkhoff).  It is
     also the double-perp family (see :func:`_complement_failure`), and
     that is the powerset exactly when any two distinct atoms are
-    orthogonal.  If every set is closed, the complement A of {p} is, and
-    A = A⊥⊥ needs A⊥ ≠ ∅; A⊥ misses A by antireflexivity, so A⊥ = {p}
-    and p is orthogonal to every other atom.  Conversely, then every A⊥
-    is the complement of A, so A⊥⊥ = A.  So the verdict reads the rows,
-    never the family.
+    orthogonal, that is, when every component of :func:`_components` is
+    a single atom.  If every set is closed, the complement A of {p} is,
+    and A = A⊥⊥ needs A⊥ ≠ ∅; A⊥ misses A by antireflexivity, so
+    A⊥ = {p} and p is orthogonal to every other atom.  Conversely, then
+    every A⊥ is the complement of A, so A⊥⊥ = A.  So the verdict reads
+    the rows, never the family.
 
-    A failure gets its certificate from the probes (A, s): A closed in
-    canonical order, s an atom outside A, S = A ∪ {s}.  If every S were
-    closed, induction from the empty set would close every subset, so
-    some probe finds S not closed; at the first, with r the lowest atom
-    of cl(S) outside S, x = {r}, y = A, z = {s} break distributivity,
-    since x meet (y join z) = {r} while (x meet y) join (x meet z) is
-    empty.  S is closed when its join cl(S) is S, and the family is read
-    only for the A past :func:`_t1_prefix`.  ``checked`` counts the
-    (A, s) probes, which the report of a passing family gives as the
-    n·2**(n-1) a scan of the powerset makes.
+    A failure gets its certificate from :func:`_distributivity_failure`
+    along :func:`_walk`.  ``checked`` counts a's one-point extensions,
+    n - |a|, for each element a visited, which the report of a passing
+    family gives as the n·2**(n-1) a walk of the powerset counts.
     """
     _require_complement(ppl)
     n = ppl.n
-    full = (1 << n) - 1
-    if all(row | 1 << p == full for p, row in enumerate(ppl.orth.rows)):
+    if len(_components(ppl)) == n:  # every component a single atom
         return _report("boolean", None, n << (n - 1))
-    join = ppl.join_mask
-
-    def probed():  # the A past ∅: singletons, then the family past the T1 prefix
-        yield from (1 << p for p in range(n))
-        yield from ppl.cs.masks[n + 1:]
-
-    checked = n  # A = ∅: every {s} is closed in a T1 family
-    for a in probed():
-        for s in mask_bits(full & ~a):
-            checked += 1
-            joined = a | 1 << s
-            if (extra := join(joined) & ~joined):
-                return _report("boolean", Certificate("distributivity", (
-                    ("x", AtomSet(extra & -extra, n)),
-                    ("y", AtomSet(a, n)),
-                    ("z", AtomSet(1 << s, n)),
-                )), checked)
-    raise InvariantViolationError("the family is not the powerset but every probe closes")
+    cert, checked = _first_failure(ppl, _walk(ppl), _distributivity_failure)
+    if cert is None:
+        raise InvariantViolationError("the family is not the powerset but every probe closes")
+    return _report("boolean", cert, checked)
 
 
-def check_irreducible(ppl: PPL) -> AxiomReport:
-    """Are bottom and top the only central elements?
+def _distributivity_failure(ppl: PPL, a: int, ext: list[int]) -> Certificate | None:
+    """Three elements breaking distributivity, from a closed a and an atom s ∉ a, or None.
 
-    z is central when every element F decomposes as
-    (F meet z) join (F meet z'); a nontrivial central element is the
-    certificate (the lattice then splits as a product).  With a compatible
-    complement every member is fixed by double perp and every perp row is
-    a member, so the family is the whole property lattice and z' = z⊥.
-    There z is central exactly when it is a union of connected components
-    of the non-orthogonality graph: F = {p} forces p into z or z⊥, so no
-    non-orthogonal pair straddles z; conversely such a z has z⊥ equal to
-    its set complement, and every F is the union of its two meets.  The
-    lattice is therefore irreducible iff the graph is connected, and the
-    canonically first nontrivial central element is the canonically first
-    component.  ``checked`` counts the atoms visited.
+    Probe S = a ∪ {s} for each s outside a in ascending order.  If every
+    S were closed for every closed a, induction from the empty set would
+    close every subset, so on a family other than the powerset some
+    probe finds S not closed.  At the first, with r the lowest atom of
+    cl(S) = ext[s] outside S, x = {r}, y = a, z = {s} break
+    distributivity, since x meet (y join z) = {r} while
+    (x meet y) join (x meet z) is empty.
     """
-    _require_complement(ppl)
+    n = ppl.n
+    for s in mask_bits(((1 << n) - 1) & ~a):
+        if (extra := ext[s] & ~(a | 1 << s)):
+            return Certificate("distributivity", (
+                ("x", AtomSet(extra & -extra, n)),
+                ("y", AtomSet(a, n)),
+                ("z", AtomSet(1 << s, n)),
+            ))
+    return None
+
+
+def _components(ppl: PPL) -> list[int]:
+    """The connected components of the non-orthogonality graph, as masks."""
     rows = ppl.orth.rows
     full = (1 << ppl.n) - 1
-    components = []
-    rest = full
+    components, rest = [], full
     while rest:
         comp = frontier = rest & -rest
         while frontier:
@@ -375,6 +351,27 @@ def check_irreducible(ppl: PPL) -> AxiomReport:
             comp |= frontier
         components.append(comp)
         rest &= ~comp
+    return components
+
+
+def check_irreducible(ppl: PPL) -> AxiomReport:
+    """Are bottom and top the only central elements?
+
+    z is central when every element F decomposes as
+    (F meet z) join (F meet z'); a nontrivial central element is the
+    certificate (the lattice then splits as a product).  With a compatible
+    complement every member is fixed by double perp and every perp row is
+    a member, so the family is the whole property lattice and z' = z⊥.
+    There z is central exactly when it is a union of components of
+    :func:`_components`: F = {p} forces p into z or z⊥, so no
+    non-orthogonal pair straddles z; conversely such a z has z⊥ equal to
+    its set complement, and every F is the union of its two meets.  The
+    lattice is therefore irreducible iff the graph is connected, and the
+    canonically first nontrivial central element is the canonically first
+    component.  ``checked`` counts the atoms visited.
+    """
+    _require_complement(ppl)
+    components = _components(ppl)
     if len(components) == 1:
         return _report("irreducible", None, ppl.n)
     z = min(components, key=canonical_key)

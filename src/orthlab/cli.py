@@ -240,21 +240,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def error_exit(exc: Exception) -> int:
+    """Print the ``error`` line for ``exc`` on stderr, as ``main`` and both
+    ``scripts/`` do; the exit code, 3 for a capacity or budget, else 2."""
+    known = isinstance(exc, (OrthlabError, OSError, ValueError))
+    text = exc if known else f"internal error: {type(exc).__name__}: {exc}"
+    print(f"error\t{text}", file=sys.stderr)
+    if isinstance(exc, (CapacityError, BudgetExceededError)):
+        return EXIT_RESOURCE
+    return EXIT_INVALID_INPUT
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if hasattr(args, "budget"):
             args.budget = resolve_budget(args.budget)
         return args.fn(args)
-    except (CapacityError, BudgetExceededError) as exc:
-        print(f"error\t{exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (OrthlabError, OSError, ValueError) as exc:
-        print(f"error\t{exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
     except Exception as exc:
-        print(f"error\tinternal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+        return error_exit(exc)
 
 
 if __name__ == "__main__":  # pragma: no cover

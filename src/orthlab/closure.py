@@ -124,17 +124,16 @@ class ClosureSystem:
         return self.masks[len(self.masks) - self._superset_bits(mask).bit_length()]
 
     def one_point_extensions(self, a: int) -> list[int]:
-        """Index of cl(a ∪ {r}) for every atom r, for a closed ``a``.
+        """cl(a ∪ {r}) as a mask for every atom r, for a closed ``a``.
 
-        Entry r is a's own index when r lies in a.  The superset bitmap of
-        a is built once; each r outside a then costs one AND with r's
-        column.
+        Entry r is a itself when r lies in a.  The superset bitmap of a is
+        built once; each r outside a then costs one AND with r's column.
         """
         sup = self._superset_bits(a)
-        m = len(self.masks)
-        own = m - sup.bit_length()
-        cols = self._cols
-        return [own if (a >> r) & 1 else m - (sup & cols[r]).bit_length() for r in range(self.n)]
+        masks, cols = self.masks, self._cols
+        m = len(masks)
+        return [a if (a >> r) & 1 else masks[m - (sup & cols[r]).bit_length()]
+                for r in range(self.n)]
 
     @cached_property
     def meet_irreducibles(self) -> tuple[int, ...]:
@@ -152,9 +151,9 @@ class ClosureSystem:
         out = []
         for a in masks[:-1]:
             meet = masks[-1]
-            for r, k in enumerate(self.one_point_extensions(a)):
-                if not (a >> r) & 1:
-                    meet &= masks[k]
+            for k in self.one_point_extensions(a):
+                if k != a:
+                    meet &= k
             if meet != a:
                 out.append(a)
         return tuple(out)
@@ -167,12 +166,12 @@ class ClosureSystem:
         between contains some r in m∖a, whose closure with a stays inside
         m.
         """
-        reach: dict[int, int] = {}  # k -> the r outside a with cl(a ∪ {r}) = masks[k]
+        reach: dict[int, int] = {}  # k -> the r outside a with cl(a ∪ {r}) = k
         for r, k in enumerate(self.one_point_extensions(a)):
-            if not (a >> r) & 1:
+            if k != a:
                 reach[k] = reach.get(k, 0) | 1 << r
-        masks = self.masks
-        return {k for k, rs in reach.items() if rs == masks[k] & ~a}
+        idx = self._index
+        return {idx[k] for k, rs in reach.items() if rs == k & ~a}
 
     # -- whole-family checks ----------------------------------------------
 

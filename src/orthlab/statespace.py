@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .bitset import mask_bits
 from .closure import ClosureSystem, meet_closure
@@ -42,15 +42,6 @@ class ValidationReport:
 
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.ok]
-
-
-def _separation_failure(rows: Sequence[int]) -> tuple[int, int] | None:
-    """First ordered pair (p, q) of row indices with row p inside row q."""
-    for p, rp in enumerate(rows):
-        for q, rq in enumerate(rows):
-            if rp & ~rq == 0 and p != q:
-                return (p, q)
-    return None
 
 
 @dataclass(frozen=True)
@@ -133,7 +124,11 @@ class OrthoRelation:
 
     def separation_failure(self) -> tuple[int, int] | None:
         """First ordered pair (p, q) with no r orthogonal to p but not to q."""
-        return _separation_failure(self.rows)
+        for p, rp in enumerate(self.rows):
+            for q, rq in enumerate(self.rows):
+                if rp & ~rq == 0 and p != q:
+                    return (p, q)
+        return None
 
     @cached_property
     def checks(self) -> tuple[CheckResult, ...]:

@@ -68,6 +68,29 @@ def is_separating(orth: dict[int, set[int]]) -> bool:
     return True
 
 
+def separating_relations(n: int) -> list[tuple[int, ...]]:
+    """Every labelled separating relation on ``range(n)``, as row masks.
+
+    Tries every set of unordered pairs, bit k of its number standing for
+    the k-th pair of ``itertools.combinations(range(n), 2)``, and keeps
+    the separating ones, in that order.  Antireflexivity and symmetry
+    hold by construction; separation is ``is_separating`` on masks, an r
+    orthogonal to p but not to q existing exactly when row p is not
+    inside row q.
+    """
+    pairs = list(itertools.combinations(range(n), 2))
+    out = []
+    for edges in range(1 << len(pairs)):
+        rows = [0] * n
+        for k, (p, q) in enumerate(pairs):
+            if edges >> k & 1:
+                rows[p] |= 1 << q
+                rows[q] |= 1 << p
+        if all(rp & ~rq for p, rp in enumerate(rows) for q, rq in enumerate(rows) if p != q):
+            out.append(tuple(rows))
+    return out
+
+
 def perp(orth: dict[int, set[int]], a: Iterable[int]) -> frozenset[int]:
     """States orthogonal to everything in ``a`` (all states when a is empty)."""
     a = set(a)

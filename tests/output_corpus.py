@@ -1,8 +1,13 @@
 """Fingerprint the CLI's output over a fixed corpus of commands.
 
-Run it against a checkout and compare with another::
+Run it against a checkout and compare with another, or with the
+committed ``tests/output_corpus.txt``, which CI diffs a fresh run
+against::
 
     PYTHONPATH=<checkout>/src python tests/output_corpus.py > out.txt
+
+A change that alters output on purpose regenerates that file, so its
+diff names the commands whose output changed.
 
 Each command is one call of ``orthlab.cli.main`` in process.  It prints
 one line per command: the arguments, the exit code, and the sha256 of

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import orthlab as O
 from orthlab import axioms
 from orthlab.axioms import (
+    SUITE_AXIOMS,
     check_boolean,
     check_covering_law,
     check_irreducible,
@@ -389,7 +390,7 @@ def test_boolean_verdict_needs_no_probe_once_the_family_is_read(monkeypatch, b3)
     lattices.append(O.PPL(lattices[1].cs, b3.orth, b3.labels))  # not marked biorthogonal
     for ppl in lattices:
         assert ppl.cs
-    monkeypatch.setattr(axioms, "mask_bits", _raise)  # the probes' bit walk
+    monkeypatch.setattr(axioms, "_distributivity_failure", _raise)  # the probes
     for ppl in lattices:
         report = check_boolean(ppl)
         assert (report.holds, report.stats.checked) == (True, ppl.n << (ppl.n - 1))
@@ -489,3 +490,84 @@ def test_checkers_report_alike_on_hypothesis_families(n, gens, seed, density):
     rows = [row for p, row in enumerate(ss.orth.rows) if seed >> p & 1]
     masks = [g & ((1 << n) - 1) for g in gens] + rows + [1 << p for p in range(n)] + [0]
     _fresh_failures(_lazily(O.PPL(O.meet_closure(masks, n), ss.orth, ss.labels)))
+
+
+# ---------------------------------------------------------------------------
+# every separating relation on at most 6 states, against the oracles
+
+
+def _walked(fam, a, n):
+    """``checked`` of a walk up to and including element a: Σ (n - |e|) over e."""
+    return sum(n - len(e) for e in fam if _key(e) <= _key(a))
+
+
+def _first_probe(fam, n):
+    """The canonically first (a, s) with a closed and a ∪ {s} not, and the
+    lowest atom x of the closure of a ∪ {s} outside it."""
+    for a in sorted(fam, key=_key):
+        for s in range(n):
+            joined = a | {s}
+            if s not in a and joined not in fam:
+                return min(ora.family_closure(fam, joined) - joined), a, s
+
+
+def _oracle_outcomes(rows, n):
+    """The (holds, certificate parts as sets, checked) each checker must report."""
+    orth = ora.rows_to_dict(rows)
+    fam = ora.family_to_sets(ora.closed_masks_brute(rows, n))
+    complement = {m: ora.perp(orth, m) for m in fam}
+    everything = sum(n - len(e) for e in fam)
+    out = {"orthocomplementation": (True, None, len(fam))}
+
+    violations = ora.orthomodular_violations(fam, complement)
+    if violations:
+        a, b = min(violations, key=lambda ab: (_key(ab[0]), _key(ab[1])))
+        rebuilt = ora.family_join(fam, a, b & complement[a])
+        out["orthomodular"] = (False, {"a": a, "b": b, "rebuilt": rebuilt}, _walked(fam, a, n))
+    else:
+        out["orthomodular"] = (True, None, everything)
+
+    violations = ora.covering_violations(fam)
+    if violations:
+        p, a = min(violations, key=lambda pa: (_key(pa[1]), _key(pa[0])))
+        join = ora.family_join(fam, a, p)
+        between = min((m for m in fam if a < m < join), key=_key)
+        out["covering"] = (False, {"p": p, "a": a, "join": join, "between": between},
+                           _walked(fam, a, n))
+    else:
+        out["covering"] = (True, None, everything)
+
+    if len(fam) == 1 << n:
+        out["boolean"] = (True, None, everything)
+    else:
+        x, y, z = _first_probe(fam, n)
+        assert ora.replay_distributivity(fam, frozenset({x}), y, frozenset({z}))
+        out["boolean"] = (False, {"x": {x}, "y": y, "z": {z}}, _walked(fam, y, n))
+
+    central = ora.central_elements(fam, complement) - {frozenset(), frozenset(range(n))}
+    out["irreducible"] = (True, None, n) if not central else \
+        (False, {"z": min(central, key=_key)}, n)
+    return out
+
+
+def test_checkers_agree_with_oracles_on_every_small_separating_relation():
+    counts = [len(ora.separating_relations(n)) for n in range(1, 7)]
+    assert counts == [1, 1, 1, 4, 38, 1148]
+    checkers = dict(zip(SUITE_AXIOMS, CHECKERS))
+    failed = set()
+    for n in range(1, 7):
+        labels = tuple(f"s{p}" for p in range(n))
+        for rows in ora.separating_relations(n):
+            ss = O.StateSpace(labels, O.OrthoRelation(n, rows))
+            read = O.property_lattice(ss)
+            assert read.cs.masks == ora.closed_masks_brute(rows, n)
+            for axiom, want in _oracle_outcomes(rows, n).items():
+                report = checkers[axiom](O.property_lattice(ss))  # the family not yet built
+                cert = report.certificate
+                got = (report.holds, cert and {k: ora.mask_to_set(v.bits) for k, v in cert.parts},
+                       report.stats.checked)
+                assert got == want, (axiom, rows)
+                assert _outcome(checkers[axiom], read) == (report.holds, cert, got[2])
+                if not report.holds:
+                    failed.add(axiom)
+    assert failed == set(SUITE_AXIOMS[1:])

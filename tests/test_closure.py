@@ -140,7 +140,7 @@ def test_closure_extensions_and_covers_match_oracle_everywhere(case):
         assert mask_to_set(cs.closure_mask(x)) == family_closure(fam, mask_to_set(x))
     for a in cs.masks:
         ext = cs.one_point_extensions(a)
-        assert [mask_to_set(cs.masks[k]) for k in ext] == \
+        assert [mask_to_set(k) for k in ext] == \
             [family_closure(fam, mask_to_set(a | 1 << r)) for r in range(n)]
         expected = {j for j, f in enumerate(cs.masks)
                     if covers(fam, mask_to_set(a), mask_to_set(f))}
@@ -163,7 +163,7 @@ def test_closure_kernel_matches_oracle_on_wide_ground_sets(n, k):
         x = rng.choice(cs.masks) & rng.getrandbits(n) | 1 << rng.randrange(n)
         assert mask_to_set(cs.closure_mask(x)) == family_closure(fam, mask_to_set(x))
     for a in cs.masks:
-        assert [mask_to_set(cs.masks[j]) for j in cs.one_point_extensions(a)] == \
+        assert [mask_to_set(k) for k in cs.one_point_extensions(a)] == \
             [family_closure(fam, mask_to_set(a | 1 << r)) for r in range(n)]
 
 

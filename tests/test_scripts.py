@@ -137,6 +137,28 @@ def test_mine_counterexamples_errors_exit_like_the_cli(args, code, error):
     assert proc.stdout == ""
 
 
+def test_survey_over_capacity_exits_like_the_cli():
+    proc = _run_script("survey_catalog.py", "--lantern-max", "40")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == "error\t66 states exceed capacity 64\n"
+    assert proc.stdout == ""
+
+
+def _boom(*args, **kwargs):
+    raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize("name, call", [("survey_catalog.py", "axiom_suite"),
+                                        ("mine_counterexamples.py", "run_search")])
+def test_scripts_report_internal_errors_like_the_cli(monkeypatch, capsys, name, call):
+    script = _load_script(name)
+    monkeypatch.setattr(script, call, _boom)
+    monkeypatch.setattr(sys, "argv", [name])
+    assert script.main() == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error\tinternal error: RuntimeError: boom\n")
+
+
 @pytest.mark.parametrize("full_report", [False, True])
 def test_mine_counterexamples_prints_hits_as_report_lines(monkeypatch, capsys, full_report):
     script = _load_script("mine_counterexamples.py")
