@@ -21,7 +21,9 @@ products, with and without ``--axioms``, over catalog pairs of up to 36
 atoms; serialized and malformed ``.statespace`` and ``.ppl`` documents;
 the three search specs of the benchmark's ``search`` workload; and five
 more search specs whose factors give up, are complete graphs or single
-points, or whose product exceeds the ground-set cap.
+points, or whose product exceeds the ground-set cap.  A last few list
+symmetries or search planes under small budgets, most of which run out
+(exit 3).
 Only the standard library is imported here; orthlab comes from
 ``PYTHONPATH``.
 """
@@ -53,6 +55,18 @@ EDGE_SEARCHES = (
     ("complete", "minimal-orthocomplementation-nontrivial", 30, 8, 1.0, 1),
     ("points", "separated-orthomodular-nonboolean", 30, 1, 0.5, 1),
     ("over-capacity", "minimal-covering-nontrivial", 30, 65, 0.5, 1),
+)
+
+#: Listings and budgeted searches: each budget error names the query that
+#: used it up, and the last names the plane that query held fixed.
+BUDGETED = (
+    ("symmetries", "gen:mo:2"),
+    ("symmetries", "gen:boolean:4", "--budget", "5"),
+    ("symmetries", "gen:mo:3", "--count-only", "--budget", "5"),
+    ("plane", "gen:boolean:4", "--budget", "3"),
+    ("plane", "gen:boolean:4", "--witnesses", "--budget", "3"),
+    ("plane", "gen:boolean:4", "--witnesses", "--budget", "6"),
+    ("plane", "gen:random:9:0.3:13", "--witnesses", "--budget", "16"),
 )
 
 #: Documents no parser should accept, and edge cases around the accepted ones.
@@ -141,6 +155,7 @@ def commands(work: Path) -> list[list[str]]:
         path.write_text(f"search v1\ntarget {target}\ncount {count}\nnmax {nmax}\n"
                         f"density {density}\nseed {seed}\n")
         out.append(["search", str(path)])
+    out += [list(argv) for argv in BUDGETED]
     return out
 
 
