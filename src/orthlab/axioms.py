@@ -1,8 +1,8 @@
 """Lattice axiom checkers returning pass verdicts or replayable certificates.
 
-Every checker takes one PPL.  Orthomodularity, distributivity and
-irreducibility raise ``ValueError`` when the PPL has no compatible
-complement, and the covering law when its family is not T1.  A checker
+Every checker takes one PPL, whose family is T1 by construction.
+Orthomodularity, distributivity and irreducibility raise ``ValueError``
+when the PPL has no compatible complement.  A checker
 tests only the conditions its input can break; what the perp Galois
 connection guarantees on a valid input is proved in the checker's
 docstring instead of scanned.  Scans run in the canonical order, so the
@@ -174,17 +174,18 @@ def check_orthomodular(ppl: PPL) -> AxiomReport:
 
     The first d found this way need not be the a of the canonically first
     failing pair, so a failing verdict hands over to the exact scan of
-    :func:`_orthomodular_failure` along :func:`_walk`.  A ppl whose family
-    is not built yet runs that scan on the walk's first n + 1 elements
-    first, reads the family only if they pass, and resumes the same walk
-    past them if the bitmaps fail.  ``checked`` counts a's one-point
-    extensions, n - |a|, for each element a visited: every element when
-    the law holds, and those up to the certificate's a when it fails.
+    :func:`_orthomodular_failure` along :func:`_walk` from ∅.  A ppl whose
+    family is not built yet runs that scan on the walk's first n + 1
+    elements first, and reads the family only if they pass (they hold no
+    failure then, so the walk from ∅ reports what one past them would).
+    ``checked`` counts a's one-point extensions, n - |a|, for each
+    element a visited: every element when the law holds, and those up to
+    the certificate's a when it fails.
     """
     _require_complement(ppl)
-    walk, checked = _walk(ppl), 0
     if not ppl.has_family:
-        cert, checked = _first_failure(ppl, islice(walk, ppl.n + 1), _orthomodular_failure)
+        cert, checked = _first_failure(ppl, islice(_walk(ppl), ppl.n + 1),
+                                       _orthomodular_failure)
         if cert is not None:
             return _report("orthomodular", cert, checked)
     cs = ppl.cs
@@ -199,11 +200,11 @@ def check_orthomodular(ppl: PPL) -> AxiomReport:
             sup &= outside[low.bit_length() - 1]
             ap ^= low
         if sup & (sup - 1):
-            cert, rest = _first_failure(ppl, walk, _orthomodular_failure)
+            cert, checked = _first_failure(ppl, _walk(ppl), _orthomodular_failure)
             if cert is None:
                 raise InvariantViolationError(
                     "the orthomodularity criterion fails but no pair a ⊆ b does")
-            return _report("orthomodular", cert, checked + rest)
+            return _report("orthomodular", cert, checked)
     checked = len(masks) * cs.n - sum(map(int.bit_count, masks))
     return _report("orthomodular", None, checked)
 
@@ -237,16 +238,14 @@ def _orthomodular_failure(ppl: PPL, a: int, ext: list[int]) -> Certificate | Non
 def check_covering_law(ppl: PPL) -> AxiomReport:
     """Whenever an atom p misses an element a, must a join p cover a?
 
-    The family must be T1 (``ValueError`` otherwise), as a valid PPL's
-    is, so the atoms are the singletons {r} and a ∨ {r} = cl(a ∪ {r}).
+    The family is T1, as every PPL's is, so the atoms are the singletons
+    {r} and a ∨ {r} = cl(a ∪ {r}).
     Elements are tested one at a time along :func:`_walk` by
     :func:`_covering_failure`, so a failure among ∅ and the singletons
     reads no family.  The certificate is the one an exhaustive scan of
     the pairs and of the elements between reports.  ``checked`` counts
     the one-point extensions computed.
     """
-    if not ppl.is_t1:
-        raise ValueError("the covering law is checked on T1 families only")
     return _report("covering", *_first_failure(ppl, _walk(ppl), _covering_failure))
 
 
@@ -285,28 +284,35 @@ def _covering_failure(ppl: PPL, a: int, ext: list[int]) -> Certificate | None:
     return None
 
 
-def check_boolean(ppl: PPL) -> AxiomReport:
+def is_boolean(ppl: PPL) -> bool:
     """Distributivity: is the family the full powerset?
 
-    A family with a compatible complement is T1, and a T1 family is
-    distributive exactly when it is the full powerset (Birkhoff).  It is
-    also the double-perp family (see :func:`_complement_failure`), and
-    that is the powerset exactly when any two distinct atoms are
-    orthogonal, that is, when every component of :func:`_components` is
-    a single atom.  If every set is closed, the complement A of {p} is,
+    ``ValueError`` when the ppl has no compatible complement.  The family
+    is T1, and a T1 family is distributive exactly when it is the full
+    powerset (Birkhoff).  It is also the double-perp family (see
+    :func:`_complement_failure`), and that is the powerset exactly when
+    any two distinct atoms are orthogonal, that is, when every component
+    of :func:`_components` is a single atom.  If every set is closed, the
+    complement A of {p} is,
     and A = A⊥⊥ needs A⊥ ≠ ∅; A⊥ misses A by antireflexivity, so
     A⊥ = {p} and p is orthogonal to every other atom.  Conversely, then
     every A⊥ is the complement of A, so A⊥⊥ = A.  So the verdict reads
     the rows, never the family.
+    """
+    _require_complement(ppl)
+    return len(_components(ppl)) == ppl.n  # every component a single atom
+
+
+def check_boolean(ppl: PPL) -> AxiomReport:
+    """The verdict of :func:`is_boolean`, with a certificate when it fails.
 
     A failure gets its certificate from :func:`_distributivity_failure`
     along :func:`_walk`.  ``checked`` counts a's one-point extensions,
     n - |a|, for each element a visited, which the report of a passing
     family gives as the n·2**(n-1) a walk of the powerset counts.
     """
-    _require_complement(ppl)
     n = ppl.n
-    if len(_components(ppl)) == n:  # every component a single atom
+    if is_boolean(ppl):
         return _report("boolean", None, n << (n - 1))
     cert, checked = _first_failure(ppl, _walk(ppl), _distributivity_failure)
     if cert is None:

@@ -25,45 +25,32 @@ DEFAULT_FAMILY_CAP = 1_000_000
 class ClosureSystem:
     """An intersection-closed family containing the full ground set.
 
-    ``masks`` is strictly increasing under the canonical key, deduplicated,
-    and always contains the full set.  For masks inside the ground set the
-    canonical order is the order of the integer key |m|·2**n + m, which is
-    what the constructor checks in one pass.  Builders are responsible for
-    actual intersection-closedness; :meth:`intersection_defect` re-checks
-    it exhaustively when wanted.
+    ``masks`` may come in any order and with repeats; the constructor
+    deduplicates them and puts them in canonical order, one sort by value
+    followed by a stable sort by cardinality, both keyed in C.  The
+    family must lie inside the ground set and contain the full set.
+    Builders are responsible for actual intersection-closedness;
+    :meth:`intersection_defect` re-checks it exhaustively when wanted.
     """
 
     n: int
     masks: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("ground set must have at least one atom")
-        if self.n > GROUND_CAPACITY:
-            raise CapacityError(f"ground set of {self.n} atoms exceeds capacity {GROUND_CAPACITY}")
         n = self.n
+        if n < 1:
+            raise ValueError("ground set must have at least one atom")
+        if n > GROUND_CAPACITY:
+            raise CapacityError(f"ground set of {n} atoms exceeds capacity {GROUND_CAPACITY}")
         full = (1 << n) - 1
-        last = -1
-        for m in self.masks:
+        ordered = sorted(set(self.masks))
+        for m in ordered[:1] + ordered[-1:]:  # the least and the greatest
             if m < 0 or m > full:
                 raise ValueError(f"mask 0x{m:x} out of range for n={n}")
-            key = m.bit_count() << n | m
-            if key <= last:
-                raise ValueError("masks must be unique and canonically ordered")
-            last = key
-        if not self.masks or self.masks[-1] != full:
-            raise ValueError("family must contain the full ground set")
-
-    @classmethod
-    def from_masks(cls, n: int, masks: Iterable[int]) -> "ClosureSystem":
-        """The family of ``masks``, deduplicated and put in canonical order.
-
-        The order is one sort by value followed by a stable sort by
-        cardinality, both keyed in C.
-        """
-        ordered = sorted(set(masks))
         ordered.sort(key=int.bit_count)
-        return cls(n, tuple(ordered))
+        if not ordered or ordered[-1] != full:
+            raise ValueError("family must contain the full ground set")
+        object.__setattr__(self, "masks", tuple(ordered))
 
     # -- derived structure ------------------------------------------------
 
@@ -214,4 +201,4 @@ def meet_closure(masks: Iterable[int], n: int, *,
         if len(family) > max_family:
             raise CapacityError(
                 f"closure family exceeds cap of {max_family} sets")
-    return ClosureSystem.from_masks(n, family)
+    return ClosureSystem(n, family)

@@ -152,7 +152,7 @@ def parse_ppl(text: str, *, validate: bool = True) -> PPL:
     """
     labels, orth, closed = _read(text, "ppl")
     n = len(labels)
-    cs = ClosureSystem.from_masks(n, {0, (1 << n) - 1, *(1 << p for p in range(n)), *closed})
+    cs = ClosureSystem(n, {0, (1 << n) - 1, *(1 << p for p in range(n)), *closed})
     biorthogonal = is_biorthogonal_family(cs, orth)
     defect = None if biorthogonal else cs.intersection_defect()
     if defect is not None:
@@ -161,7 +161,7 @@ def parse_ppl(text: str, *, validate: bool = True) -> PPL:
             "family is not intersection-closed: "
             f"{format_atom_set(f, labels)} and {format_atom_set(g, labels)} "
             "meet in a missing set", min(closed[f], closed[g]))
-    ppl = PPL(cs=cs, orth=orth, labels=labels, biorthogonal=biorthogonal)
+    ppl = PPL(cs, orth, labels, biorthogonal)
     if validate:
         ppl.require_valid()
     return ppl

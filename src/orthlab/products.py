@@ -112,11 +112,11 @@ def minimal_product(ppl1: PPL, ppl2: PPL) -> PPL:
                 rows2 |= row
         return cylinder1_mask(join1(rows1), n1, n2) & cylinder2_mask(join2(rows2), n1, n2)
 
-    return PPL.lazy(lambda: rectangle_family(ppl1.cs, ppl2.cs), orth,
-                    pair_labels(ppl1.labels, ppl2.labels),
-                    biorthogonal=(ppl1.biorthogonal if n2 == 1 else
-                                  ppl2.biorthogonal if n1 == 1 else False),
-                    closure=closure)
+    return PPL(lambda: rectangle_family(ppl1.cs, ppl2.cs), orth,
+               pair_labels(ppl1.labels, ppl2.labels),
+               biorthogonal=(ppl1.biorthogonal if n2 == 1 else
+                             ppl2.biorthogonal if n1 == 1 else False),
+               join=closure)
 
 
 def rectangle_family(cs1: ClosureSystem, cs2: ClosureSystem) -> ClosureSystem:
@@ -135,4 +135,4 @@ def rectangle_family(cs1: ClosureSystem, cs2: ClosureSystem) -> ClosureSystem:
             masks.add(c1 & c2)
             if len(masks) > DEFAULT_FAMILY_CAP:
                 raise CapacityError(f"closure family exceeds cap of {DEFAULT_FAMILY_CAP} sets")
-    return ClosureSystem.from_masks(n1 * n2, masks)
+    return ClosureSystem(n1 * n2, masks)

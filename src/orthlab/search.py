@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .axioms import (check_boolean, check_covering_law, check_orthomodular,
-                     find_compatible_orthocomplementation)
+from .axioms import (check_covering_law, check_orthomodular,
+                     find_compatible_orthocomplementation, is_boolean)
 from .catalog import SplitMix64, random_spaces
 from .errors import CapacityError, CouldNotSeparateError, ParseError
 from .formats import _tokenize, serialize_statespace
@@ -72,7 +72,7 @@ class SearchReport:
 def _sep_orthomodular_nonboolean(ss1: StateSpace, ss2: StateSpace) -> str | None:
     """Hit iff the separated product is orthomodular and neither factor is Boolean."""
     for ss in (ss1, ss2):
-        if check_boolean(property_lattice(ss)).holds:
+        if is_boolean(property_lattice(ss)):
             return None
     if check_orthomodular(property_lattice(separated_product(ss1, ss2))).holds:
         return "separated product is orthomodular with two non-Boolean factors"

@@ -176,50 +176,38 @@ class StateSpace(_Validated):
 class PPL(_Validated):
     """A T1 closure system with an orthogonality on its atoms.
 
-    ``biorthogonal`` marks families whose closure operator coincides with
-    double perp (set by :func:`property_lattice`, where it is a theorem,
-    and by ``parse_ppl`` when :func:`is_biorthogonal_family` says so);
-    joins then take the double perp instead of the closure system's
-    superset lookup.
+    ``family`` is the closure system, or a builder run on the first read
+    of ``cs``, where a cap error then surfaces; :func:`property_lattice`
+    and the minimal product prove theirs T1.  A given family must begin
+    ∅, {0}, …, {n−1} in canonical order, as a T1 one does.
 
-    The family ``cs`` is either given or, for a ppl made by :meth:`lazy`,
-    built on first read; a cap error then surfaces at that read.  Joins,
-    :attr:`n` and :meth:`validate` never read it, so a command that needs
-    only joins never builds the family.
+    ``join_mask`` is double perp when ``biorthogonal`` (set by
+    :func:`property_lattice`, where it is a theorem, and by ``parse_ppl``
+    when :func:`is_biorthogonal_family` says so), else ``join`` when
+    given, else the family's closure.  Only that last reads the family.
     """
 
-    def __init__(self, cs: ClosureSystem, orth: OrthoRelation, labels: tuple[str, ...],
-                 biorthogonal: bool = False):
-        if cs.n != orth.n:
-            raise ValueError("closure system, orthogonality, and labels disagree on size")
-        self.__dict__["cs"] = cs
-        self._init(orth, labels, biorthogonal, None)
-
-    @classmethod
-    def lazy(cls, build: Callable[[], ClosureSystem], orth: OrthoRelation,
-             labels: tuple[str, ...], *, biorthogonal: bool = False,
-             closure: Callable[[int], int] | None = None) -> "PPL":
-        """A ppl whose family is ``build()``, called on the first read of ``cs``.
-
-        Joins take double perp on a ``biorthogonal`` ppl, else ``closure``
-        when given, else the family's own closure, which builds it.  The
-        callers, :func:`property_lattice` and the minimal product, prove
-        their families T1, so :attr:`is_t1` holds without joins.
-        """
-        ppl = cls.__new__(cls)
-        ppl._build = build
-        ppl._init(orth, labels, biorthogonal, closure)
-        ppl.__dict__["is_t1"] = True
-        return ppl
-
-    def _init(self, orth: OrthoRelation, labels: tuple[str, ...], biorthogonal: bool,
-              closure: Callable[[int], int] | None) -> None:
-        if orth.n != len(labels):
-            raise ValueError("closure system, orthogonality, and labels disagree on size")
-        if len(set(labels)) != len(labels):
+    def __init__(self, family: ClosureSystem | Callable[[], ClosureSystem],
+                 orth: OrthoRelation, labels: tuple[str, ...], biorthogonal: bool = False,
+                 *, join: Callable[[int], int] | None = None):
+        n = orth.n
+        if n != len(labels):
+            raise ValueError("orthogonality and labels disagree on size")
+        if len(set(labels)) != n:
             raise ValueError("atom labels must be distinct")
+        if isinstance(family, ClosureSystem):
+            if family.n != n or family.masks[:n + 1] != (0, *(1 << p for p in range(n))):
+                raise ValueError(f"the family is not a T1 family on the {n} atoms")
+            self.cs = family
+        else:
+            self._build = family
         self.orth, self.labels, self.biorthogonal = orth, labels, biorthogonal
-        self._closure = closure
+        if biorthogonal:
+            perp = orth.perp_mask
+            join = lambda mask: perp(perp(mask))
+        elif join is None:
+            join = lambda mask: self.cs.closure_mask(mask)
+        self.join_mask = join
 
     @cached_property
     def cs(self) -> ClosureSystem:
@@ -234,23 +222,10 @@ class PPL(_Validated):
     def n(self) -> int:
         return self.orth.n
 
-    def join_mask(self, mask: int) -> int:
-        if self.biorthogonal:
-            return self.orth.perp_mask(self.orth.perp_mask(mask))
-        if self._closure is not None:
-            return self._closure(mask)
-        return self.cs.closure_mask(mask)
-
-    @cached_property
-    def is_t1(self) -> bool:
-        """Are ∅ and every singleton closed?  Read off joins, not the family."""
-        join = self.join_mask
-        return join(0) == 0 and all(join(1 << p) == 1 << p for p in range(self.n))
-
     def validate(self) -> ValidationReport:
         """The state-space checks on the orthogonality, plus T1 for the family."""
-        return ValidationReport(
-            self.orth.checks + (CheckResult("t1", self.is_t1, None),))
+        # T1 holds by construction; `orthlab validate` prints a line per check
+        return ValidationReport(self.orth.checks + (CheckResult("t1", True, None),))
 
 
 def is_biorthogonal_family(cs: ClosureSystem, orth: OrthoRelation) -> bool:
@@ -293,4 +268,4 @@ def property_lattice(ss: StateSpace) -> PPL:
     """
     ss.require_valid()
     o = ss.orth
-    return PPL.lazy(lambda: meet_closure(o.rows, o.n), o, ss.labels, biorthogonal=True)
+    return PPL(lambda: meet_closure(o.rows, o.n), o, ss.labels, biorthogonal=True)

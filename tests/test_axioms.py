@@ -62,7 +62,7 @@ def _small_pairs(random_batch):
 def test_forced_candidate_agrees_with_brute_search(b2_ppl, b3_ppl, mo2_ppl, random_batch):
     # every subset of the lantern's atoms closed: the perps are members, but
     # {a1,a2} is not fixed by double perp
-    powerset = O.PPL(O.ClosureSystem.from_masks(4, range(16)), mo2_ppl.orth, mo2_ppl.labels)
+    powerset = O.PPL(O.ClosureSystem(4, range(16)), mo2_ppl.orth, mo2_ppl.labels)
     lattices = [b2_ppl, b3_ppl, mo2_ppl, powerset]
     lattices += [O.property_lattice(ss) for ss in random_batch if ss.n <= 4]
     lattices += [O.minimal_product(O.property_lattice(a), O.property_lattice(b))
@@ -121,8 +121,8 @@ def test_certificate_part_lookup(b2_ppl):
 
 
 def test_orthocomplementation_requires_valid_input():
-    cs = O.ClosureSystem.from_masks(2, [0b00, 0b11])
-    ppl = O.PPL(cs, O.OrthoRelation.from_pairs(2, [(0, 1)]), ("a", "b"))
+    cs = O.ClosureSystem(2, [0b00, 0b01, 0b10, 0b11])
+    ppl = O.PPL(cs, O.OrthoRelation(2, (0, 0)), ("a", "b"))  # T1, not separating
     with pytest.raises(O.InvalidInstanceError):
         find_compatible_orthocomplementation(ppl)
 
@@ -175,7 +175,7 @@ def test_complement_checkers_need_a_complement(b2_ppl):
 
 
 def test_complement_checkers_validate_other_families():
-    cs = O.ClosureSystem.from_masks(2, [0b00, 0b01, 0b10, 0b11])
+    cs = O.ClosureSystem(2, [0b00, 0b01, 0b10, 0b11])
     ppl = O.PPL(cs, O.OrthoRelation(2, (0b01, 0b10)), ("a", "b"))  # each atom self-orthogonal
     for check in (check_orthomodular, check_boolean, check_irreducible):
         with pytest.raises(O.InvalidInstanceError):
@@ -275,9 +275,25 @@ def test_orthomodular_verdict_needs_no_join_where_the_law_holds(monkeypatch):
     lattices = _law_holding_lattices()
     for ppl in lattices:  # a family not yet built is first scanned on its T1 prefix, by joins
         assert ppl.cs
-    monkeypatch.setattr(O.PPL, "join_mask", _raise)
     for ppl in lattices:
+        monkeypatch.setattr(ppl, "join_mask", _raise)
         assert check_orthomodular(ppl).holds
+
+
+def test_orthomodular_bitmap_failure_walks_again_from_the_bottom(monkeypatch):
+    # the prefix scan is made to pass, so the bitmaps find the failure and the
+    # exact scan must still report the first one, which lies in that prefix
+    real = axioms._orthomodular_failure
+    for j, k in ((2, 2), (2, 3), (3, 3)):
+        def make(j=j, k=k):
+            return O.property_lattice(O.separated_product(O.mo_lantern(j), O.mo_lantern(k)))
+        plain = check_orthomodular(make())
+        assert not plain.holds
+        hidden = iter(range(make().n + 1))
+        monkeypatch.setattr(axioms, "_orthomodular_failure",
+                            lambda *args: None if next(hidden, None) is not None else real(*args))
+        assert check_orthomodular(make()) == plain
+        assert next(hidden, None) is None  # the prefix did pass
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +346,10 @@ def test_covering_agrees_with_oracle(random_batch):
 
 
 def test_covering_needs_a_t1_family():
-    # lattice atoms {0,1,2} and {0,3} over the bottom {0}
-    cs = O.ClosureSystem.from_masks(5, [0b00001, 0b00111, 0b01001, 0b01111, 0b11111])
-    ppl = O.PPL(cs, O.OrthoRelation.from_pairs(5, []), tuple("abcde"))
-    with pytest.raises(ValueError):
-        check_covering_law(ppl)
+    # lattice atoms {0,1,2} and {0,3} over the bottom {0}: no ppl has this family
+    cs = O.ClosureSystem(5, [0b00001, 0b00111, 0b01001, 0b01111, 0b11111])
+    with pytest.raises(ValueError, match="T1"):
+        O.PPL(cs, O.OrthoRelation.from_pairs(5, []), tuple("abcde"))
 
 
 def test_covering_verdict_needs_no_cover_scan_where_the_law_holds(monkeypatch):
@@ -460,7 +475,7 @@ def _fresh_failures(make):
 def _lazily(ppl):
     """A maker of ppl's with ``ppl``'s family and joins, the family unread."""
     cs = ppl.cs
-    return lambda: O.PPL.lazy(lambda: cs, ppl.orth, ppl.labels, closure=cs.closure_mask)
+    return lambda: O.PPL(lambda: cs, ppl.orth, ppl.labels, join=cs.closure_mask)
 
 
 def test_checkers_report_alike_before_and_after_the_family_is_read(random_batch):

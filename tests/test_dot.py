@@ -26,7 +26,7 @@ def test_cover_pairs_matches_oracle(b3_ppl, mo2_ppl, random_batch):
 
 
 def test_two_element_diagram():
-    cs = O.ClosureSystem.from_masks(1, [0b0, 0b1])
+    cs = O.ClosureSystem(1, [0b0, 0b1])
     text = export_dot(cs, ("a",))
     assert text.count(" [label=") == 2
     assert text.count("->") == 1

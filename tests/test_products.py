@@ -140,7 +140,7 @@ def test_product_checks_are_set_exactly_for_valid_factors(random_batch):
 
 
 def test_minimal_product_joins_without_its_family(b1_ppl, b2_ppl, mo2_ppl, random_batch):
-    t1 = O.PPL(O.ClosureSystem.from_masks(3, [0, 1, 2, 4, 3, 7]),  # not biorthogonal
+    t1 = O.PPL(O.ClosureSystem(3, [0, 1, 2, 4, 3, 7]),  # not biorthogonal
                O.OrthoRelation.from_pairs(3, [(0, 1), (0, 2), (1, 2)]), ("a", "b", "c"))
     factors = [b1_ppl, b2_ppl, mo2_ppl, t1]
     factors += [O.property_lattice(ss) for ss in random_batch[2:5]]
@@ -163,8 +163,8 @@ def test_minimal_product_atoms_are_pair_singletons(mo2_ppl, b2_ppl):
 
 
 def test_minimal_product_requires_valid_factors(mo2_ppl):
-    broken = O.PPL(O.ClosureSystem.from_masks(2, [0b00, 0b11]),
-                   O.OrthoRelation.from_pairs(2, [(0, 1)]), ("a", "b"))
+    broken = O.PPL(O.ClosureSystem(2, [0b00, 0b01, 0b10, 0b11]),
+                   O.OrthoRelation(2, (0, 0)), ("a", "b"))  # T1, not separating
     with pytest.raises(InvalidInstanceError):
         O.minimal_product(broken, mo2_ppl)
 

@@ -127,7 +127,7 @@ def test_property_lattice_matches_brute_force(random_batch):
         orth = ora.rows_to_dict(ss.orth.rows)
         assert ora.family_to_sets(ppl.cs.masks) == ora.closed_sets(orth)
         assert ppl.cs.masks == ora.closed_masks_brute(ss.orth.rows, ss.n)
-        assert PPL(ppl.cs, ss.orth, ss.labels).is_t1  # read off the family's own joins
+        PPL(ppl.cs, ss.orth, ss.labels)  # a given family is checked T1 here
         assert ppl.cs.masks[0] == 0  # bottom is always the empty set
 
 
@@ -148,7 +148,7 @@ def test_property_lattice_join_is_double_perp(mo2, mo2_ppl):
 def test_biorthogonal_family_is_the_meet_closure_of_the_rows(mo2, mo2_ppl, b2_ppl):
     assert is_biorthogonal_family(mo2_ppl.cs, mo2.orth)
     # more sets than the double-perp family: the closure of the rows ends smaller
-    assert not is_biorthogonal_family(O.ClosureSystem.from_masks(4, range(16)), mo2.orth)
+    assert not is_biorthogonal_family(O.ClosureSystem(4, range(16)), mo2.orth)
     # fewer: the closure is stopped once it outgrows the 10 rectangles
     prod = O.minimal_product(b2_ppl, b2_ppl)
     assert len(prod.cs) == 10
@@ -173,16 +173,14 @@ def test_property_lattice_family_cap():
 # hand-built pseudo property lattices
 
 def test_ppl_validate_flags_non_t1_family():
-    cs = O.ClosureSystem.from_masks(2, [0b00, 0b11])
-    ppl = PPL(cs, OrthoRelation.from_pairs(2, [(0, 1)]), ("a", "b"))
-    report = ppl.validate()
-    assert [c.name for c in report.failures()] == ["t1"]
-    with pytest.raises(InvalidInstanceError):
-        ppl.require_valid()
+    # T1 is checked when the ppl is made, so no invalid one reaches validate()
+    cs = O.ClosureSystem(2, [0b00, 0b11])
+    with pytest.raises(ValueError, match="T1"):
+        PPL(cs, OrthoRelation.from_pairs(2, [(0, 1)]), ("a", "b"))
 
 
 def test_ppl_validate_flags_non_separating_orthogonality():
-    cs = O.ClosureSystem.from_masks(2, [0b00, 0b01, 0b10, 0b11])
+    cs = O.ClosureSystem(2, [0b00, 0b01, 0b10, 0b11])
     ppl = PPL(cs, OrthoRelation(2, (0, 0)), ("a", "b"))
     assert [c.name for c in ppl.validate().failures()] == ["separating"]
 
@@ -197,7 +195,7 @@ def test_ppl_shape_checks(mo2_ppl):
 def test_generic_ppl_join_uses_family_closure():
     # an intersection-closed T1 family that is not biorthogonal: joins
     # must still come from the family itself
-    cs = O.ClosureSystem.from_masks(3, [0b000, 0b001, 0b010, 0b100, 0b011, 0b111])
+    cs = O.ClosureSystem(3, [0b000, 0b001, 0b010, 0b100, 0b011, 0b111])
     ppl = PPL(cs, OrthoRelation.from_pairs(3, [(0, 1), (0, 2), (1, 2)]), ("a", "b", "c"))
     assert ppl.join_mask(0b011) == 0b011
     assert ppl.join_mask(0b101) == 0b111

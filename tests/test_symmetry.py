@@ -68,7 +68,7 @@ def test_symmetry_defect_on_orthogonality(mo2_ppl):
 def test_symmetry_defect_on_a_closed_set():
     # complete orthogonality (any permutation preserves it) but a family
     # containing {a,b} and not {a,c}: swapping b and c must be rejected
-    cs = O.ClosureSystem.from_masks(3, [0b000, 0b001, 0b010, 0b100, 0b011, 0b111])
+    cs = O.ClosureSystem(3, [0b000, 0b001, 0b010, 0b100, 0b011, 0b111])
     ppl = O.PPL(cs, O.OrthoRelation.from_pairs(3, [(0, 1), (0, 2), (1, 2)]),
                 ("a", "b", "c"))
     orth, fam = _orth_and_family(ppl)
@@ -295,6 +295,23 @@ def test_plane_tables_match_the_oracles_where_planes_are_moved():
         else:
             assert report.failing_pair == pq
     assert verdicts[:2] == [False, True] and False in verdicts[2:]
+
+
+def test_symmetries_and_planes_agree_with_oracles_on_every_small_separating_relation():
+    transitive = []
+    for n in range(1, 7):
+        labels = tuple(f"s{p}" for p in range(n))
+        for rows in ora.separating_relations(n):
+            ppl = O.property_lattice(O.StateSpace(labels, O.OrthoRelation(n, rows)))
+            orth, fam = _orth_and_family(ppl)
+            group = ora.symmetries_by_extension(orth, fam)
+            assert count_symmetries(ppl) == len(group), rows
+            verdict = is_plane_transitive(ppl, witnesses=False).transitive
+            assert verdict == ora.is_plane_transitive_brute(orth, fam, group), rows
+            if verdict:
+                transitive.append(rows)
+    # only boolean:4-6, each atom orthogonal to every other
+    assert transitive == [tuple((1 << n) - 1 ^ 1 << p for p in range(n)) for n in (4, 5, 6)]
 
 
 def test_find_plane_symmetry_range_check(b3_ppl):
@@ -576,7 +593,7 @@ def test_meet_irreducibles_below_the_coatoms_are_checked():
              0b1100, 0b100001, 0b100100, 0b101000, 0b1101, 0b101001, 0b101100,
              0b101110, 0b110101, 0b111111]
     ss = O.boolean_space(6)
-    ppl = O.PPL(O.ClosureSystem.from_masks(6, masks), ss.orth, ss.labels)
+    ppl = O.PPL(O.ClosureSystem(6, masks), ss.orth, ss.labels)
     assert 0b101100 in ppl.cs.meet_irreducibles
     got = list(enumerate_symmetries(ppl))
     assert got == ora.all_symmetries(*_orth_and_family(ppl)) == \
