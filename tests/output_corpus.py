@@ -23,7 +23,9 @@ the three search specs of the benchmark's ``search`` workload; and five
 more search specs whose factors give up, are complete graphs or single
 points, or whose product exceeds the ground-set cap.  A last few list
 symmetries or search planes under small budgets, most of which run out
-(exit 3).
+(exit 3).  The documents that fail the axioms or the ground-set cap also
+go through ``plane``, ``symmetries`` and both products with mo:2, and one
+product asks for ``--dot`` with ``--axioms``.
 Only the standard library is imported here; orthlab comes from
 ``PYTHONPATH``.
 """
@@ -69,6 +71,9 @@ BUDGETED = (
     ("plane", "gen:random:9:0.3:13", "--witnesses", "--budget", "16"),
 )
 
+#: Documents that parse but fail the axioms or the ground-set cap.
+INVALID = ("not-separating.statespace", "not-separating.ppl", "over-capacity.statespace")
+
 #: Documents no parser should accept, and edge cases around the accepted ones.
 MALFORMED = {
     "empty.statespace": "",
@@ -101,6 +106,8 @@ MALFORMED = {
     "not-t1-biorthogonal.ppl": "ppl v1\natoms a b c\nclosed a b\north a c\north b c\n",
     "quoted-labels.statespace": 'statespace v1\natoms a"x b\\y\north a"x b\\y\n',
     "search-spec.statespace": "search v1\ntarget x\ncount 1\n",
+    "over-capacity.statespace": "statespace v1\natoms " + " ".join(f"x{i}" for i in range(65))
+                                + "\n",
 }
 
 
@@ -146,6 +153,12 @@ def commands(work: Path) -> list[list[str]]:
     for name in docs:
         if name not in MALFORMED:
             out += [["plane", str(work / name)], ["symmetries", str(work / name), "--count-only"]]
+    for name in INVALID:
+        out += [["plane", str(work / name)], ["symmetries", str(work / name), "--count-only"]]
+        if name.startswith("not-separating"):
+            out += [["product", str(work / name), "gen:mo:2", kind]
+                    for kind in ("--separated", "--minimal")]
+    out.append(["product", "gen:mo:2", "gen:mo:2", "--minimal", "--dot", "--axioms"])
     for target in SEARCH_TARGETS:
         path = work / f"{target}.search"
         path.write_text(f"search v1\ntarget {target}\ncount 300\nnmax 5\ndensity 0.5\nseed 1\n")
