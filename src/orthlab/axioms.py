@@ -104,7 +104,6 @@ def find_compatible_orthocomplementation(ppl: PPL) -> AxiomReport:
     :func:`_complement_failure`.  ``checked`` counts the elements mapped,
     so a passing report reads the family.
     """
-    ppl.require_valid()
     cert = None if ppl.biorthogonal else _complement_failure(ppl)
     return _report("orthocomplementation", cert, len(ppl.cs) if cert is None else 0)
 
@@ -152,10 +151,8 @@ def _complement_failure(ppl: PPL) -> Certificate | None:
 
 def _require_complement(ppl: PPL) -> None:
     """Raise ``ValueError`` unless ``ppl`` has a compatible complement; a biorthogonal one has."""
-    if not ppl.biorthogonal:
-        ppl.require_valid()
-        if _complement_failure(ppl) is not None:
-            raise ValueError("the ppl admits no compatible orthocomplementation")
+    if not ppl.biorthogonal and _complement_failure(ppl) is not None:
+        raise ValueError("the ppl admits no compatible orthocomplementation")
 
 
 def check_orthomodular(ppl: PPL) -> AxiomReport:

@@ -21,7 +21,8 @@ from typing import Iterator
 from . import catalog
 from .axioms import SUITE_AXIOMS, Certificate, axiom_suite
 from .dot import export_dot
-from .errors import BudgetExceededError, CapacityError, OrthlabError, ParseError
+from .errors import (BudgetExceededError, CapacityError, InvalidInstanceError, OrthlabError,
+                     ParseError)
 from .formats import _tokenize, format_atom_set, parse_ppl, parse_statespace, sniff_format
 from .products import minimal_product, separated_product
 from .search import parse_search_spec, render_report, run_search
@@ -52,15 +53,15 @@ def resolve_budget(flag: str | None) -> int:
     return budget
 
 
-def load_source(src: str, *, validate: bool = True) -> StateSpace | PPL:
+def load_source(src: str) -> StateSpace | PPL:
     if src.startswith("gen:"):
         return catalog.from_spec(src[4:])
     text = Path(src).read_text()
     kind = sniff_format(text)
     if kind == "statespace":
-        return parse_statespace(text, validate=validate)
+        return parse_statespace(text)
     if kind == "ppl":
-        return parse_ppl(text, validate=validate)
+        return parse_ppl(text)
     _, line, col = _tokenize(text)[0][0]
     raise ParseError(f"unrecognized document type {kind!r}", line, col)
 
@@ -106,15 +107,14 @@ def _print_family(ppl: PPL, dot: bool) -> bool:
 
 
 def cmd_validate(args) -> int:
-    obj = load_source(args.src, validate=False)
-    report = obj.validate()
-    labels = obj.labels
+    try:
+        obj = load_source(args.src)
+        report, labels = obj.validate(), obj.labels
+    except InvalidInstanceError as exc:  # the report of the object that was refused
+        report, labels = exc.report, exc.labels
     for c in report.checks:
-        if c.ok:
-            print(f"{c.name}\tpass")
-        else:
-            witness = "\t".join(labels[i] for i in c.witness) if c.witness else ""
-            print(f"{c.name}\tfail" + (f"\t{witness}" if witness else ""))
+        verdict = ["pass"] if c.ok else ["fail", *(labels[i] for i in c.witness)]
+        print("\t".join([c.name, *verdict]))
     return EXIT_OK if report.ok else EXIT_PROPERTY_FAILS
 
 

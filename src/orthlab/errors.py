@@ -46,12 +46,14 @@ class InvariantViolationError(OrthlabError):
 class InvalidInstanceError(OrthlabError):
     """Input fails validation (orthogonality axioms, closure structure, ...).
 
-    Carries the structured report so callers can render the failures.
+    Carries the structured report, and the atom labels when the raiser
+    knows them, so callers can render the failures.
     """
 
-    def __init__(self, report, message: str = ""):
+    def __init__(self, report, labels: tuple[str, ...] | None = None):
         self.report = report
-        super().__init__(message or "; ".join(
+        self.labels = labels
+        super().__init__("; ".join(
             f"{c.name} fails (witness {c.witness})" for c in report.failures()))
 
 

@@ -121,24 +121,22 @@ def _write(header: str, labels: tuple[str, ...], orth: OrthoRelation,
     return "\n".join(out) + "\n"
 
 
-def parse_statespace(text: str, *, validate: bool = True) -> StateSpace:
+def parse_statespace(text: str) -> StateSpace:
     """Parse a ``statespace v1`` document.
 
-    With ``validate`` (the default), a relation failing the orthogonality
-    axioms raises :class:`InvalidInstanceError` carrying the report.
+    A relation failing the orthogonality axioms raises
+    :class:`InvalidInstanceError` carrying the report, as
+    :class:`StateSpace` does.
     """
     labels, orth, _ = _read(text, "statespace")
-    ss = StateSpace(labels, orth)
-    if validate:
-        ss.require_valid()
-    return ss
+    return StateSpace(labels, orth)
 
 
 def serialize_statespace(ss: StateSpace) -> str:
     return _write("statespace", ss.labels, ss.orth, [])
 
 
-def parse_ppl(text: str, *, validate: bool = True) -> PPL:
+def parse_ppl(text: str) -> PPL:
     """Parse a ``ppl v1`` document.
 
     The implied T1 sets (empty, singletons, full) are inserted.  The
@@ -148,7 +146,8 @@ def parse_ppl(text: str, *, validate: bool = True) -> PPL:
     intersection-closed pair by pair; a missing intersection is reported
     with the offending pair, at the earlier of their two ``closed`` lines
     (an implied set meets every set in a member, so both are declared).
-    ``validate`` additionally runs the orthogonality axioms.
+    A relation failing the orthogonality axioms then raises
+    :class:`InvalidInstanceError`, as :class:`PPL` does.
     """
     labels, orth, closed = _read(text, "ppl")
     n = len(labels)
@@ -161,10 +160,7 @@ def parse_ppl(text: str, *, validate: bool = True) -> PPL:
             "family is not intersection-closed: "
             f"{format_atom_set(f, labels)} and {format_atom_set(g, labels)} "
             "meet in a missing set", min(closed[f], closed[g]))
-    ppl = PPL(cs, orth, labels, biorthogonal)
-    if validate:
-        ppl.require_valid()
-    return ppl
+    return PPL(cs, orth, labels, biorthogonal)
 
 
 def serialize_ppl(ppl: PPL) -> str:

@@ -7,8 +7,9 @@ composite label is "(x,y)".  In both products, (p1, p2) is orthogonal to
 The separated product keeps the full state-space structure (take its
 property lattice for the closed sets); the minimal product, the product
 in the category of T1 closure spaces, has the rectangles F x G of factor
-closed sets as its closed sets.  Both validate their factors only: the
-axioms of the output are theorems proved in each constructor's docstring.
+closed sets as its closed sets.  Their factors are valid by construction,
+and the axioms of the output are theorems proved in each constructor's
+docstring, so the output is not re-checked.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def product_orthogonality(o1: OrthoRelation, o2: OrthoRelation) -> OrthoRelation
     """Componentwise-disjunctive orthogonality on the flattened pair set.
 
     When both factors pass the state-space checks the product passes
-    them too, so its checks are set, not scanned.  Antireflexivity and
+    them too, so its verdict is set, not scanned.  Antireflexivity and
     symmetry hold componentwise.  For separation of (p1, p2) ≠ (q1, q2),
     say p1 ≠ q1, take r1 orthogonal to p1 but not to q1: then (r1, q2) is
     orthogonal to (p1, p2) but not to (q1, q2), since q2 is not
@@ -58,7 +59,7 @@ def product_orthogonality(o1: OrthoRelation, o2: OrthoRelation) -> OrthoRelation
     for row in o1.rows:
         c1 = cylinder1_mask(row, n1, n2)
         rows.extend(c1 | c2 for c2 in cyl2)
-    if all(c.ok for c in o1.checks + o2.checks):
+    if o1.valid and o2.valid:
         return OrthoRelation._proven(n1 * n2, tuple(rows))
     return OrthoRelation(n1 * n2, tuple(rows))
 
@@ -66,17 +67,15 @@ def product_orthogonality(o1: OrthoRelation, o2: OrthoRelation) -> OrthoRelation
 def separated_product(ss1: StateSpace, ss2: StateSpace) -> StateSpace:
     """State space on the pair set with the product orthogonality.
 
-    The state-space axioms carry over from valid factors (see
+    The state-space axioms carry over from the factors (see
     :func:`product_orthogonality`), so the output is not re-checked.
     """
-    ss1.require_valid()
-    ss2.require_valid()
     orth = product_orthogonality(ss1.orth, ss2.orth)
     return StateSpace(pair_labels(ss1.labels, ss2.labels), orth)
 
 
 def minimal_product(ppl1: PPL, ppl2: PPL) -> PPL:
-    """Product of two valid ppl's in the category of T1 closure spaces.
+    """Product of two ppl's in the category of T1 closure spaces.
 
     Its closed family is generated by the cylinders F x Sigma2 and
     Sigma1 x G of the factor closed sets, and that family is the
@@ -94,8 +93,6 @@ def minimal_product(ppl1: PPL, ppl2: PPL) -> PPL:
     exactly when p ⊥ q, x not being orthogonal to itself.  So it is
     ``biorthogonal`` when the other factor is.
     """
-    ppl1.require_valid()
-    ppl2.require_valid()
     orth = product_orthogonality(ppl1.orth, ppl2.orth)
     n1, n2 = ppl1.n, ppl2.n
     ones2 = (1 << n2) - 1

@@ -10,6 +10,8 @@ form the property lattice, an intersection-closed T1 family.
 A :class:`PPL` bundles a T1 closure system with an orthogonality on its
 atoms; property lattices are the canonical examples, but product
 constructions produce ppl's whose family is not the biorthogonal one.
+Both are valid by construction: each raises :class:`InvalidInstanceError`,
+carrying its :meth:`validate` report, on a relation that fails the axioms.
 """
 
 from __future__ import annotations
@@ -49,10 +51,9 @@ class OrthoRelation:
     """Orthogonality on states 0..n-1, stored as one row mask per state.
 
     The container itself does not enforce the axioms; build through
-    :meth:`from_pairs` for symmetrized input, and use the ``*_failure``
-    probes (or :meth:`StateSpace.validate`) for checking.  The relation
-    is frozen, so :attr:`checks` runs the three probes once and every
-    later validation of the same relation reads the result.
+    :meth:`from_pairs` for symmetrized input.  The relation is frozen, so
+    :attr:`checks` runs the three ``*_failure`` probes once, and keeps
+    the verdict :attr:`valid` that every space and ppl made on it reads.
     """
 
     n: int
@@ -83,6 +84,7 @@ class OrthoRelation:
         orth = cls(n, rows)
         orth.__dict__["checks"] = tuple(
             CheckResult(name, True) for name in ("antireflexive", "symmetric", "separating"))
+        orth.__dict__["valid"] = True
         return orth
 
     def orthogonal(self, p: int, q: int) -> bool:
@@ -139,19 +141,15 @@ class OrthoRelation:
             CheckResult("separating", (w := self.separation_failure()) is None, w),
         )
 
-
-class _Validated:
-    """``require_valid`` for a class with a ``validate()`` report."""
-
-    def require_valid(self) -> None:
-        report = self.validate()
-        if not report.ok:
-            raise InvalidInstanceError(report)
+    @cached_property
+    def valid(self) -> bool:
+        """Do all three :attr:`checks` pass?"""
+        return all(c.ok for c in self.checks)
 
 
 @dataclass(frozen=True)
-class StateSpace(_Validated):
-    """Labelled states plus their orthogonality relation."""
+class StateSpace:
+    """Labelled states plus their orthogonality relation, which must be valid."""
 
     labels: tuple[str, ...]
     orth: OrthoRelation
@@ -163,6 +161,8 @@ class StateSpace(_Validated):
             raise ValueError("state space must have at least one state")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("state labels must be distinct")
+        if not self.orth.valid:
+            raise InvalidInstanceError(self.validate(), self.labels)
 
     @property
     def n(self) -> int:
@@ -173,13 +173,14 @@ class StateSpace(_Validated):
         return ValidationReport(self.orth.checks)
 
 
-class PPL(_Validated):
-    """A T1 closure system with an orthogonality on its atoms.
+class PPL:
+    """A T1 closure system with a valid orthogonality on its atoms.
 
     ``family`` is the closure system, or a builder run on the first read
     of ``cs``, where a cap error then surfaces; :func:`property_lattice`
     and the minimal product prove theirs T1.  A given family must begin
-    ∅, {0}, …, {n−1} in canonical order, as a T1 one does.
+    ∅, {0}, …, {n−1} in canonical order, as a T1 one does.  The
+    orthogonality is checked without the family, so a builder is not run.
 
     ``join_mask`` is double perp when ``biorthogonal`` (set by
     :func:`property_lattice`, where it is a theorem, and by ``parse_ppl``
@@ -202,6 +203,8 @@ class PPL(_Validated):
         else:
             self._build = family
         self.orth, self.labels, self.biorthogonal = orth, labels, biorthogonal
+        if not orth.valid:
+            raise InvalidInstanceError(self.validate(), labels)
         if biorthogonal:
             perp = orth.perp_mask
             join = lambda mask: perp(perp(mask))
@@ -249,7 +252,7 @@ def is_biorthogonal_family(cs: ClosureSystem, orth: OrthoRelation) -> bool:
 
 
 def property_lattice(ss: StateSpace) -> PPL:
-    """Family of biorthogonally closed subsets of a valid state space.
+    """Family of biorthogonally closed subsets of a state space.
 
     The family is built on the first read of ``cs``, and the cap
     :data:`~orthlab.closure.DEFAULT_FAMILY_CAP` is checked then; joins are
@@ -266,6 +269,5 @@ def property_lattice(ss: StateSpace) -> PPL:
     lies inside r's row and misses q (symmetry puts p in each of those
     rows).
     """
-    ss.require_valid()
     o = ss.orth
     return PPL(lambda: meet_closure(o.rows, o.n), o, ss.labels, biorthogonal=True)

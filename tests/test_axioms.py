@@ -121,10 +121,10 @@ def test_certificate_part_lookup(b2_ppl):
 
 
 def test_orthocomplementation_requires_valid_input():
+    # the ppl is refused when it is made, so no invalid one reaches the checker
     cs = O.ClosureSystem(2, [0b00, 0b01, 0b10, 0b11])
-    ppl = O.PPL(cs, O.OrthoRelation(2, (0, 0)), ("a", "b"))  # T1, not separating
     with pytest.raises(O.InvalidInstanceError):
-        find_compatible_orthocomplementation(ppl)
+        O.PPL(cs, O.OrthoRelation(2, (0, 0)), ("a", "b"))  # T1, not separating
 
 
 def _t1_ppls(seed, count):
@@ -175,11 +175,10 @@ def test_complement_checkers_need_a_complement(b2_ppl):
 
 
 def test_complement_checkers_validate_other_families():
+    # the ppl is refused when it is made, so no invalid one reaches the checkers
     cs = O.ClosureSystem(2, [0b00, 0b01, 0b10, 0b11])
-    ppl = O.PPL(cs, O.OrthoRelation(2, (0b01, 0b10)), ("a", "b"))  # each atom self-orthogonal
-    for check in (check_orthomodular, check_boolean, check_irreducible):
-        with pytest.raises(O.InvalidInstanceError):
-            check(ppl)
+    with pytest.raises(O.InvalidInstanceError):
+        O.PPL(cs, O.OrthoRelation(2, (0b01, 0b10)), ("a", "b"))  # each atom self-orthogonal
 
 
 def test_complement_guard_scans_without_the_public_checker(mo2_ppl, monkeypatch):

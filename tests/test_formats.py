@@ -62,8 +62,8 @@ def test_statespace_validation_failure_carries_report():
     with pytest.raises(InvalidInstanceError) as err:
         parse_statespace(text)
     assert [c.name for c in err.value.report.failures()] == ["separating"]
-    unchecked = parse_statespace(text, validate=False)
-    assert not unchecked.validate().ok
+    assert not err.value.report.ok
+    assert err.value.labels == ("a", "b", "c")
 
 
 #: The exact error of each malformed document below: message with position, line, column.
@@ -103,7 +103,7 @@ SYNTAX_ERRORS = {
 def _syntax_error(parse, text, fragment) -> ParseError:
     """The error ``parse`` raises on ``text``, checked against :data:`SYNTAX_ERRORS`."""
     with pytest.raises(ParseError) as err:
-        parse(text, validate=False)
+        parse(text)
     message, line, col = SYNTAX_ERRORS[text]
     assert fragment in message
     assert (str(err.value), err.value.line, err.value.col) == (message, line, col)
@@ -131,14 +131,14 @@ def test_statespace_syntax_errors(text, line, fragment):
 
 
 def test_self_orthogonality_is_rejected_before_validation():
-    # a syntax-stage rejection, so validate=False does not let it through
+    # a syntax-stage rejection, raised before the relation reaches StateSpace
     with pytest.raises(ParseError):
-        parse_statespace("statespace v1\natoms a b\north b b\n", validate=False)
+        parse_statespace("statespace v1\natoms a b\north b b\n")
 
 
 def test_error_columns_point_at_the_offending_token():
     with pytest.raises(ParseError) as err:
-        parse_statespace("statespace v1\natoms a b\north a c\n", validate=False)
+        parse_statespace("statespace v1\natoms a b\north a c\n")
     assert (err.value.line, err.value.col) == (3, 8)
 
 
@@ -220,7 +220,7 @@ def test_ppl_syntax_errors(text, fragment):
 
 def test_closed_lines_may_name_atoms_declared_later():
     ppl = parse_ppl("ppl v1\natoms a b\nclosed b c\natoms c\n"
-                    "orth a b\north a c\north b c\n", validate=False)
+                    "orth a b\north a c\north b c\n")
     assert ppl.labels == ("a", "b", "c")
     assert ppl.cs.masks == (0b000, 0b001, 0b010, 0b100, 0b110, 0b111)
 
@@ -230,7 +230,7 @@ def test_ppl_intersection_defect_reports_the_pair():
             "closed a b c\nclosed b c d\n"
             "orth a b\north a c\north a d\north b c\north b d\north c d\n")
     with pytest.raises(ParseError) as err:
-        parse_ppl(text, validate=False)
+        parse_ppl(text)
     msg = str(err.value)
     assert "intersection-closed" in msg and "{a,b,c}" in msg and "{b,c,d}" in msg
     assert err.value.line == 3
@@ -247,10 +247,11 @@ def test_ppl_of_a_property_lattice_skips_the_pairwise_intersection_scan(monkeypa
 
 
 def test_ppl_validation_failure():
-    with pytest.raises(InvalidInstanceError):
+    with pytest.raises(InvalidInstanceError) as err:
         parse_ppl("ppl v1\natoms a b\n")  # empty orthogonality cannot separate
-    assert parse_ppl("ppl v1\natoms a b\n", validate=False).cs.masks == \
-        (0b00, 0b01, 0b10, 0b11)
+    # the family of implied sets is T1, so its check passes
+    assert [(c.name, c.ok) for c in err.value.report.checks] == [
+        ("antireflexive", True), ("symmetric", True), ("separating", False), ("t1", True)]
 
 
 # ---------------------------------------------------------------------------

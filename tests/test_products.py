@@ -79,10 +79,9 @@ def test_separated_product_is_valid_on_random_factors(random_batch):
 
 
 def test_separated_product_requires_valid_factors(b2):
-    bad = O.StateSpace(("x", "y", "z"),
-                       O.OrthoRelation.from_pairs(3, [(0, 2), (1, 2)]))
+    # an invalid factor is refused when it is made, so none reaches the product
     with pytest.raises(InvalidInstanceError):
-        O.separated_product(bad, b2)
+        O.StateSpace(("x", "y", "z"), O.OrthoRelation.from_pairs(3, [(0, 2), (1, 2)]))
 
 
 def test_separated_lantern_square_lattice_size(mo2):
@@ -163,10 +162,10 @@ def test_minimal_product_atoms_are_pair_singletons(mo2_ppl, b2_ppl):
 
 
 def test_minimal_product_requires_valid_factors(mo2_ppl):
-    broken = O.PPL(O.ClosureSystem(2, [0b00, 0b01, 0b10, 0b11]),
-                   O.OrthoRelation(2, (0, 0)), ("a", "b"))  # T1, not separating
+    # an invalid factor is refused when it is made, so none reaches the product
     with pytest.raises(InvalidInstanceError):
-        O.minimal_product(broken, mo2_ppl)
+        O.PPL(O.ClosureSystem(2, [0b00, 0b01, 0b10, 0b11]),
+              O.OrthoRelation(2, (0, 0)), ("a", "b"))  # T1, not separating
 
 
 def test_minimal_product_capacity():

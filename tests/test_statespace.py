@@ -55,12 +55,11 @@ def test_separation_matches_row_containment_oracle(random_batch):
 
 
 def test_validate_state_space_reports_by_name():
-    bad = StateSpace(("x", "y", "z"), OrthoRelation.from_pairs(3, [(0, 2), (1, 2)]))
-    report = bad.validate()
+    with pytest.raises(InvalidInstanceError) as err:
+        StateSpace(("x", "y", "z"), OrthoRelation.from_pairs(3, [(0, 2), (1, 2)]))
+    report = err.value.report
     assert not report.ok
     assert [c.name for c in report.failures()] == ["separating"]
-    with pytest.raises(InvalidInstanceError):
-        bad.require_valid()
 
 
 def test_state_space_shape_checks():
@@ -157,9 +156,9 @@ def test_biorthogonal_family_is_the_meet_closure_of_the_rows(mo2, mo2_ppl, b2_pp
 
 
 def test_property_lattice_rejects_invalid_space():
-    bad = StateSpace(("x", "y", "z"), OrthoRelation.from_pairs(3, [(0, 2), (1, 2)]))
+    # the space is refused when it is made, so no invalid one reaches property_lattice
     with pytest.raises(InvalidInstanceError):
-        O.property_lattice(bad)
+        StateSpace(("x", "y", "z"), OrthoRelation.from_pairs(3, [(0, 2), (1, 2)]))
 
 
 def test_property_lattice_family_cap():
@@ -181,8 +180,9 @@ def test_ppl_validate_flags_non_t1_family():
 
 def test_ppl_validate_flags_non_separating_orthogonality():
     cs = O.ClosureSystem(2, [0b00, 0b01, 0b10, 0b11])
-    ppl = PPL(cs, OrthoRelation(2, (0, 0)), ("a", "b"))
-    assert [c.name for c in ppl.validate().failures()] == ["separating"]
+    with pytest.raises(InvalidInstanceError) as err:
+        PPL(cs, OrthoRelation(2, (0, 0)), ("a", "b"))
+    assert [c.name for c in err.value.report.failures()] == ["separating"]
 
 
 def test_ppl_shape_checks(mo2_ppl):
