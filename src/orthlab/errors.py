@@ -47,14 +47,18 @@ class InvalidInstanceError(OrthlabError):
     """Input fails validation (orthogonality axioms, closure structure, ...).
 
     Carries the structured report, and the atom labels when the raiser
-    knows them, so callers can render the failures.
+    knows them, so callers can render the failures.  The message names
+    each witness's atoms by label, or shows its indices without labels.
     """
 
     def __init__(self, report, labels: tuple[str, ...] | None = None):
         self.report = report
         self.labels = labels
+
+        def witness(c) -> str:
+            return " ".join(labels[i] for i in c.witness) if labels else str(c.witness)
         super().__init__("; ".join(
-            f"{c.name} fails (witness {c.witness})" for c in report.failures()))
+            f"{c.name} fails (witness {witness(c)})" for c in report.failures()))
 
 
 class ParseError(OrthlabError):
