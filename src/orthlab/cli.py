@@ -131,6 +131,8 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_product(args) -> int:
+    if args.dot and args.axioms:
+        raise ValueError("--dot and --axioms cannot be combined")
     a = load_source(args.src1)
     b = load_source(args.src2)
     if args.separated:

@@ -191,6 +191,14 @@ def test_product_dot_output(run):
     assert out[0].startswith("digraph")
 
 
+@pytest.mark.parametrize("kind", ["--minimal", "--separated"])
+def test_product_refuses_dot_with_axioms_before_loading(run, tmp_path, kind):
+    # the missing file shows that no source is read
+    for src in ("gen:mo:2", str(tmp_path / "missing.statespace")):
+        code, out, err = run("product", src, "gen:mo:2", kind, "--dot", "--axioms")
+        assert (code, out, err) == (2, [], "error\t--dot and --axioms cannot be combined\n")
+
+
 def test_product_mode_flag_is_required(run):
     with pytest.raises(SystemExit):
         main(["product", "gen:boolean:2", "gen:boolean:2"])
