@@ -68,6 +68,22 @@ def is_separating(orth: dict[int, set[int]]) -> bool:
     return True
 
 
+def axiom_witnesses(orth: dict[int, set[int]]) -> list[tuple[str, Optional[tuple]]]:
+    """Antireflexivity, symmetry and separation, each with its first
+    counterexample in row-major order, or None where the axiom holds:
+    a state p orthogonal to itself; a pair (p, q) with q orthogonal to p
+    but not p to q; an ordered pair p != q with no witness for p only."""
+    states = sorted(orth)
+    found = (
+        ("antireflexive", ((p,) for p in states if p in orth[p])),
+        ("symmetric", ((p, q) for p in states for q in states
+                       if q in orth[p] and p not in orth[q])),
+        ("separating", ((p, q) for p in states for q in states
+                        if p != q and not any(r in orth[p] and r not in orth[q] for r in orth))),
+    )
+    return [(name, next(witnesses, None)) for name, witnesses in found]
+
+
 def separating_relations(n: int) -> list[tuple[int, ...]]:
     """Every labelled separating relation on ``range(n)``, as row masks.
 

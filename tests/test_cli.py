@@ -52,6 +52,15 @@ def test_validate_reports_labeled_witness(run, tmp_path):
     assert "antireflexive\tpass" in out
 
 
+def test_validate_reports_labeled_witness_of_a_ppl(run, tmp_path):
+    path = tmp_path / "bad.ppl"
+    path.write_text("ppl v1\natoms a b c\north a c\north b c\n")
+    code, out, _ = run("validate", str(path))
+    assert code == 1
+    assert out == ["antireflexive\tpass", "symmetric\tpass", "separating\tfail\ta\tb",
+                   "t1\tpass"]
+
+
 def test_missing_file_is_invalid_input(run, tmp_path):
     code, out, err = run("validate", str(tmp_path / "nope.space"))
     assert code == 2

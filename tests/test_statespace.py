@@ -62,6 +62,48 @@ def test_validate_state_space_reports_by_name():
     assert [c.name for c in report.failures()] == ["separating"]
 
 
+def test_every_way_to_build_refuses_an_invalid_relation_with_the_oracle_report():
+    # every relation on at most 3 atoms, as raw rows; the parsers read only
+    # the symmetric, antireflexive ones, which a document can state
+    def builder():
+        raise AssertionError("the family builder ran")
+
+    refused = 0
+    for n in range(1, 4):
+        labels = tuple("abc"[:n])
+        powerset = O.ClosureSystem(n, range(1 << n))
+        for code in range(1 << n * n):
+            rows = tuple(code >> n * p & (1 << n) - 1 for p in range(n))
+            orth = OrthoRelation(n, rows)
+            expected = [(name, w is None, w)
+                        for name, w in ora.axiom_witnesses(ora.rows_to_dict(rows))]
+            builds = {"StateSpace": lambda: StateSpace(labels, orth),
+                      "PPL family": lambda: PPL(powerset, orth, labels),
+                      "PPL builder": lambda: PPL(builder, orth, labels)}
+            if expected[0][1] and expected[1][1]:
+                atoms = "atoms " + " ".join(labels) + "\n"
+                atoms += "".join(f"orth {labels[p]} {labels[q]}\n" for p, q in orth.pairs())
+                builds["parse_statespace"] = lambda: O.parse_statespace("statespace v1\n" + atoms)
+                builds["parse_ppl"] = lambda: O.parse_ppl("ppl v1\n" + atoms)
+            for how, build in builds.items():
+                t1 = [("t1", True, None)] if "ppl" in how.lower() else []
+                if all(ok for _, ok, _ in expected):
+                    report = build().validate()
+                else:
+                    with pytest.raises(InvalidInstanceError) as err:
+                        build()
+                    report, refused = err.value.report, refused + 1
+                    assert err.value.labels == labels
+                    assert str(err.value) == "; ".join(
+                        f"{name} fails (witness {' '.join(labels[i] for i in w)})"
+                        for name, ok, w in expected if not ok)
+                assert [(c.name, c.ok, c.witness) for c in report.checks] == expected + t1, how
+    assert refused > 1000
+    # without labels the message shows the witness's indices
+    report = O.ValidationReport(OrthoRelation(2, (0, 0)).checks)
+    assert str(InvalidInstanceError(report)) == "separating fails (witness (0, 1))"
+
+
 def test_state_space_shape_checks():
     with pytest.raises(ValueError):
         StateSpace(("a",), OrthoRelation.from_pairs(2, [(0, 1)]))
