@@ -1,10 +1,10 @@
 """Lattice axiom checkers returning pass verdicts or replayable certificates.
 
-Every checker takes one PPL, whose family is T1 by construction.
-Orthomodularity, distributivity and irreducibility raise ``ValueError``
-when the PPL has no compatible complement.  A checker
-tests only the conditions its input can break; what the perp Galois
-connection guarantees on a valid input is proved in the checker's
+Every checker takes one PPL, whose family is T1 and whose orthogonality
+is valid by construction.  Orthomodularity, distributivity and
+irreducibility raise ``ValueError`` when the PPL has no compatible
+complement.  A checker tests only the conditions its input can break;
+what the perp Galois connection guarantees is proved in the checker's
 docstring instead of scanned.  Scans run in the canonical order, so the
 first counterexample found is deterministic.  The orthomodularity,
 covering and distributivity checkers walk the elements with

@@ -392,24 +392,14 @@ def test_symmetry_count_needs_no_family(run):
     assert (code, out) == (0, [f"count\t{math.factorial(64)}"])
 
 
-def _boolean_document(tmp_path, n):
-    """A statespace file of n states, any two distinct ones orthogonal."""
-    path = tmp_path / f"boolean{n}.statespace"
-    path.write_text("statespace v1\natoms " + " ".join(f"x{p}" for p in range(n)) + "\n"
-                    + "".join(f"orth x{p} x{q}\n" for p in range(n) for q in range(p + 1, n)))
-    return str(path)
-
-
-def test_a_statespace_file_at_the_ground_cap_answers(run, tmp_path):
-    code, out, _ = run("symmetries", _boolean_document(tmp_path, 64), "--count-only")
-    assert (code, out) == (0, [f"count\t{math.factorial(64)}"])
-
-
 @pytest.mark.parametrize("argv", [("validate",), ("axioms",), ("plane",),
                                   ("plane", "--witnesses"), ("symmetries", "--count-only")])
 def test_a_statespace_file_over_the_ground_cap_is_refused(run, tmp_path, argv):
-    # the catalog refuses gen:boolean:65 with the same line
-    for src in (_boolean_document(tmp_path, 65), "gen:boolean:65"):
+    # boolean:65 as a file; the catalog refuses gen:boolean:65 with the same line
+    path = tmp_path / "boolean65.statespace"
+    path.write_text("statespace v1\natoms " + " ".join(f"x{p}" for p in range(65)) + "\n"
+                    + "".join(f"orth x{p} x{q}\n" for p in range(65) for q in range(p + 1, 65)))
+    for src in (str(path), "gen:boolean:65"):
         code, out, err = run(argv[0], src, *argv[1:])
         assert (code, out, err.splitlines()) == (3, [], ["error\t65 states exceed capacity 64"])
 
