@@ -19,9 +19,10 @@ The corpus holds the single-source commands on the Boolean spaces
 boolean:1-7, the lanterns mo:2-4 and 30 seeded random spaces; both
 products, with and without ``--axioms``, over catalog pairs of up to 36
 atoms; serialized and malformed ``.statespace`` and ``.ppl`` documents;
-the three search specs of the benchmark's ``search`` workload; and five
+the three search specs of the benchmark's ``search`` workload; and six
 more search specs whose factors give up, are complete graphs or single
-points, or whose product exceeds the ground-set cap.  A last few list
+points, repeat one factor pair after another over three blocks, or whose
+product exceeds the ground-set cap.  A last few list
 symmetries or search planes under small budgets, most of which run out
 (exit 3).  The documents that fail the axioms or the ground-set cap also
 go through ``plane``, ``symmetries`` and both products with mo:2, and one
@@ -50,12 +51,15 @@ SEARCH_TARGETS = ("separated-orthomodular-nonboolean",
 #: Search specs beyond the benchmark's, as (name, target, count, nmax, density,
 #: seed): factors that give up after 10,000 attempts beside ones that
 #: separate (density 0.05) or all of them (density 0.0), complete graphs,
-#: one-state factors, and a product over the ground-set cap (exit 3).
+#: one-state factors, 1,100 instances over three blocks of the search in
+#: which every factor pair repeats (at most three states, one separating
+#: relation per size), and a product over the ground-set cap (exit 3).
 EDGE_SEARCHES = (
     ("sparse", "minimal-covering-nontrivial", 100, 6, 0.05, 1),
     ("empty", "separated-orthomodular-nonboolean", 30, 2, 0.0, 1),
     ("complete", "minimal-orthocomplementation-nontrivial", 30, 8, 1.0, 1),
     ("points", "separated-orthomodular-nonboolean", 30, 1, 0.5, 1),
+    ("repeats", "minimal-covering-nontrivial", 1100, 3, 0.5, 5),
     ("over-capacity", "minimal-covering-nontrivial", 30, 65, 0.5, 1),
 )
 
