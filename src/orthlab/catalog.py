@@ -147,6 +147,8 @@ def random_spaces(n: int, density: float,
     of at most ``_MAX_LANES`` lanes.  ``MAX_SEPARATION_ATTEMPTS`` is read
     at call time.  The rows are symmetric and antireflexive as drawn, and
     separating when kept, so each relation records its checks as proven.
+    Seeds that draw equal rows get the same space, which is immutable:
+    the call builds one space per distinct relation.
     """
     _check_n(n)
     if not 0.0 <= density <= 1.0:
@@ -156,15 +158,19 @@ def random_spaces(n: int, density: float,
     cut = math.ceil(density * 2.0 ** 53) << 11
     chunk = max(1, _MAX_LANES // max(1, n * (n - 1) // 2))
     labels = tuple(f"s{i}" for i in range(n))
+    spaces: dict[tuple[int, ...], StateSpace] = {}
     out: list[StateSpace | CouldNotSeparateError] = []
     for start in range(0, len(seeds), chunk):
         part = seeds[start:start + chunk]
         for seed, rows in zip(part, _first_separating(n, cut, part, attempts)):
-            out.append(
-                StateSpace(labels, OrthoRelation._proven(n, rows)) if rows is not None
-                else CouldNotSeparateError(
+            if rows is None:
+                out.append(CouldNotSeparateError(
                     f"no separating relation after {attempts} attempts "
                     f"(n={n}, density={density}, seed={seed})"))
+                continue
+            if rows not in spaces:
+                spaces[rows] = StateSpace(labels, OrthoRelation._proven(n, rows))
+            out.append(spaces[rows])
     return out
 
 

@@ -13,7 +13,8 @@ Instance i derives everything from one splitmix64 stream seeded with
 ``seed + i``: two sizes in 1..nmax, then two seeds for
 :func:`orthlab.catalog.random_space`.  The factors of a block of
 instances are drawn together by :func:`orthlab.catalog.random_spaces`,
-which gives each the space ``random_space`` gives.  A hit is an instance
+which gives each the space ``random_space`` gives, and the target runs
+once per distinct factor pair of a run.  A hit is an instance
 satisfying the target; hits carry the full serialized factor spaces so
 they can be replayed, and any hit contradicts a structural claim this
 package is built around.
@@ -181,13 +182,19 @@ def run_search(spec: SearchSpec) -> SearchReport:
     """Evaluate the target over the seeded instance schedule; deterministic.
 
     The factors of a block of instances are drawn first, and the target
-    then runs instance by instance, so the report and the instance at
-    which an error surfaces are those of drawing each factor as its
+    then runs once per distinct factor pair of the run, its verdict kept
+    for the later instances of that pair, across blocks.  The rows of
+    both relations key the verdict exactly: ``random_spaces`` labels its
+    states s0…s{n-1}, so the rows fix the space, and every target is a
+    pure function of its two spaces.  A target that raises keeps no
+    verdict, so the report and the instance at which an error surfaces
+    are those of drawing each factor, and running the target, as its
     instance comes.
     """
     if spec.count < 0 or spec.nmax < 1:
         raise ValueError("count must be >= 0 and nmax >= 1")
     target = TARGETS[spec.target]
+    verdicts: dict[tuple[tuple[int, ...], tuple[int, ...]], str | None] = {}
     instances = []
     hits = []
     for start in range(0, spec.count, BLOCK):
@@ -207,7 +214,10 @@ def run_search(spec: SearchSpec) -> SearchReport:
             except CouldNotSeparateError as exc:
                 instances.append(InstanceResult(i, inst_seed, n1, n2, "invalid", str(exc)))
                 continue
-            detail = target(ss1, ss2)
+            pair = (ss1.orth.rows, ss2.orth.rows)
+            if pair not in verdicts:
+                verdicts[pair] = target(ss1, ss2)
+            detail = verdicts[pair]
             if detail is None:
                 instances.append(InstanceResult(i, inst_seed, n1, n2, "pass"))
             else:

@@ -46,6 +46,10 @@ class ValidationReport:
         return [c for c in self.checks if not c.ok]
 
 
+#: The three passing checks of a relation proven valid, shared: they are frozen.
+_PASSED = tuple(CheckResult(name, True) for name in ("antireflexive", "symmetric", "separating"))
+
+
 @dataclass(frozen=True)
 class OrthoRelation:
     """Orthogonality on states 0..n-1, stored as one row mask per state.
@@ -82,8 +86,7 @@ class OrthoRelation:
     def _proven(cls, n: int, rows: tuple[int, ...]) -> "OrthoRelation":
         """``rows`` that the caller proved valid; :attr:`checks` records three passes."""
         orth = cls(n, rows)
-        orth.__dict__["checks"] = tuple(
-            CheckResult(name, True) for name in ("antireflexive", "symmetric", "separating"))
+        orth.__dict__["checks"] = _PASSED
         orth.__dict__["valid"] = True
         return orth
 

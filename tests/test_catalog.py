@@ -217,6 +217,17 @@ def test_random_spaces_edges():
         O.random_spaces(3, -0.1, [1])
 
 
+def test_random_spaces_builds_one_space_per_distinct_relation():
+    # 1, 1, 1, 4 and 38 relations on 1 to 5 labelled states separate
+    seeds = list(range(300))
+    for n, separating in enumerate((1, 1, 1, 4, 38), start=1):
+        spaces = O.random_spaces(n, 0.5, seeds)
+        first = {s.orth.rows: s for s in reversed(spaces)}
+        assert len({id(s) for s in spaces}) == len(first) <= separating
+        assert all(s is first[s.orth.rows] for s in spaces)
+        assert spaces == [O.random_space(n, 0.5, seed) for seed in seeds]
+
+
 def test_random_spaces_splits_wide_draws(monkeypatch):
     # more lanes than one pass may hold: the seeds are drawn in chunks
     monkeypatch.setattr(catalog, "_MAX_LANES", 60)  # two seeds of n = 8 per pass

@@ -57,6 +57,8 @@ def test_parse_errors(text, fragment):
 # the instance schedule
 
 def test_instance_schedule_is_derived_from_one_stream_per_instance(monkeypatch):
+    # the target runs once per distinct factor pair; seeds 40-42 happen to
+    # give three distinct pairs, so it sees every instance
     seen = []
     monkeypatch.setitem(TARGETS, "probe", lambda s1, s2: seen.append((s1, s2)))
     spec = SearchSpec("probe", 3, nmax=3, density=0.5, seed=40)
@@ -118,6 +120,41 @@ def _search_one_by_one(spec):
             instances.append(result)
             hits.append(Hit(result, O.serialize_statespace(ss1), O.serialize_statespace(ss2)))
     return SearchReport(spec, tuple(instances), tuple(hits))
+
+
+def _factor_pairs(spec):
+    """The rows of both factors of each instance, drawing each factor in turn."""
+    pairs = []
+    for i in range(spec.count):
+        rng = SplitMix64(spec.seed + i)
+        n1 = 1 + rng.next_below(spec.nmax)
+        n2 = 1 + rng.next_below(spec.nmax)
+        seed1, seed2 = rng.next_u64(), rng.next_u64()
+        pairs.append((O.random_space(n1, spec.density, seed1).orth.rows,
+                      O.random_space(n2, spec.density, seed2).orth.rows))
+    return pairs
+
+
+@pytest.mark.parametrize("spec,calls", [
+    *((SearchSpec(target, 300, nmax=5, density=0.5, seed=1), 137) for target in sorted(TARGETS)),
+    (SearchSpec("minimal-covering-nontrivial", 2 * BLOCK + 100, nmax=3, seed=5), 9),
+])
+def test_the_target_runs_once_per_distinct_factor_pair(spec, calls, monkeypatch):
+    # the benchmark's specs and one over three blocks: each pair is decided
+    # at its first instance, and the report is that of deciding every instance
+    seen = []
+    target = TARGETS[spec.target]
+
+    def recorded(ss1, ss2):
+        seen.append((ss1.orth.rows, ss2.orth.rows))
+        return target(ss1, ss2)
+
+    with monkeypatch.context() as m:
+        m.setitem(TARGETS, spec.target, recorded)
+        report = run_search(spec)
+    assert seen == list(dict.fromkeys(_factor_pairs(spec)))
+    assert len(seen) == calls
+    assert report == _search_one_by_one(spec)
 
 
 @pytest.mark.parametrize("density", [0.0, 0.05, 0.3, 0.5, 1.0])
