@@ -2,7 +2,8 @@
 
 Atom i of a universe of size n is bit i.  Python ints are arbitrary
 precision, so a single int covers any n; ``GROUND_CAPACITY`` keeps
-product constructions from silently building enormous ground sets.
+product constructions from silently building enormous ground sets, and
+:func:`check_ground` is the one place that enforces it.
 :class:`AtomSet` is only a validated record of a mask and its universe
 size, the form in which lattice elements and certificates carry atoms.
 """
@@ -12,9 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from .errors import CapacityError
+
 #: Hard cap on ground-set size.  Big enough for every supported workload,
 #: small enough that runaway product constructions fail loudly.
 GROUND_CAPACITY = 64
+
+
+def check_ground(n: int) -> None:
+    """Raise :class:`CapacityError` when ``n`` atoms exceed ``GROUND_CAPACITY``."""
+    if n > GROUND_CAPACITY:
+        raise CapacityError(f"ground set of {n} atoms exceeds capacity {GROUND_CAPACITY}")
 
 
 def mask_bits(mask: int) -> Iterator[int]:

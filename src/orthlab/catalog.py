@@ -48,8 +48,9 @@ import math
 import string
 from collections.abc import Iterable
 
-from .bitset import GROUND_CAPACITY
-from .errors import CapacityError, CouldNotSeparateError
+from .bitset import check_ground
+from .errors import CouldNotSeparateError
+from .formats import parse_natural
 from .statespace import OrthoRelation, StateSpace
 
 _MASK64 = (1 << 64) - 1
@@ -89,8 +90,7 @@ class SplitMix64:
 def _check_n(n: int) -> None:
     if n < 1:
         raise ValueError("need at least one state")
-    if n > GROUND_CAPACITY:
-        raise CapacityError(f"{n} states exceed capacity {GROUND_CAPACITY}")
+    check_ground(n)
 
 
 def _letters(n: int) -> tuple[str, ...]:
@@ -258,11 +258,11 @@ def from_spec(spec: str) -> StateSpace:
     name, args = parts[0], parts[1:]
     try:
         if name == "boolean" and len(args) == 1:
-            return boolean_space(int(args[0]))
+            return boolean_space(parse_natural(args[0]))
         if name == "mo" and len(args) == 1:
-            return mo_lantern(int(args[0]))
+            return mo_lantern(parse_natural(args[0]))
         if name == "random" and len(args) == 3:
-            return random_space(int(args[0]), float(args[1]), int(args[2]))
+            return random_space(parse_natural(args[0]), float(args[1]), parse_natural(args[2]))
     except (ValueError, TypeError) as exc:
         raise ValueError(f"bad generator reference {spec!r}: {exc}") from exc
     raise ValueError(f"unknown generator reference {spec!r}")

@@ -23,7 +23,8 @@ from .axioms import SUITE_AXIOMS, Certificate, axiom_suite
 from .dot import export_dot
 from .errors import (BudgetExceededError, CapacityError, InvalidInstanceError, OrthlabError,
                      ParseError)
-from .formats import _tokenize, format_atom_set, parse_ppl, parse_statespace, sniff_format
+from .formats import (_tokenize, format_atom_set, parse_natural, parse_ppl, parse_statespace,
+                      sniff_format)
 from .products import minimal_product, separated_product
 from .search import parse_search_spec, render_report, run_search
 from .statespace import PPL, StateSpace, property_lattice
@@ -39,13 +40,14 @@ EXIT_RESOURCE = 3
 def resolve_budget(flag: str | None) -> int:
     """The node budget from ``--budget``, else ``ORTHLAB_BUDGET``, else the default.
 
-    Raises ValueError unless the chosen value is an integer of at least 1.
+    Raises ValueError unless the chosen value is an integer of at least 1
+    in ASCII digits.
     """
     text = flag if flag is not None else os.environ.get("ORTHLAB_BUDGET")
     if flag is None and not text:
         return DEFAULT_BUDGET
     try:
-        budget = int(text)
+        budget = parse_natural(text)
     except ValueError:
         budget = 0
     if budget < 1:

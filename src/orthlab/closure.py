@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .bitset import GROUND_CAPACITY, permute_mask
+from .bitset import check_ground, permute_mask
 from .errors import CapacityError
 
 #: Default cap on family size for generated closure systems.
@@ -40,8 +40,7 @@ class ClosureSystem:
         n = self.n
         if n < 1:
             raise ValueError("ground set must have at least one atom")
-        if n > GROUND_CAPACITY:
-            raise CapacityError(f"ground set of {n} atoms exceeds capacity {GROUND_CAPACITY}")
+        check_ground(n)
         full = (1 << n) - 1
         ordered = sorted(set(self.masks))
         for m in ordered[:1] + ordered[-1:]:  # the least and the greatest

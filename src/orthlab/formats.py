@@ -29,6 +29,17 @@ from .errors import ParseError
 from .statespace import PPL, OrthoRelation, StateSpace, is_biorthogonal_family
 
 
+def parse_natural(text: str) -> int:
+    """The integer that ``text`` writes in ASCII digits 0-9, else a ValueError.
+
+    The one grammar of every count, size, seed and budget read from text:
+    no sign, underscore, space or non-ASCII digit, which ``int`` accepts.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected ASCII digits 0-9, got {text!r}")
+    return int(text)
+
+
 def format_atom_set(mask: int, labels: tuple[str, ...]) -> str:
     return "{" + ",".join(labels[i] for i in mask_bits(mask)) + "}"
 

@@ -14,7 +14,7 @@ docstring, so the output is not re-checked.
 
 from __future__ import annotations
 
-from .bitset import GROUND_CAPACITY, mask_bits
+from .bitset import check_ground, mask_bits
 from .closure import DEFAULT_FAMILY_CAP, ClosureSystem
 from .errors import CapacityError
 from .statespace import PPL, OrthoRelation, StateSpace
@@ -51,9 +51,7 @@ def product_orthogonality(o1: OrthoRelation, o2: OrthoRelation) -> OrthoRelation
     orthogonal to itself.  The case p2 ≠ q2 is symmetric.
     """
     n1, n2 = o1.n, o2.n
-    if n1 * n2 > GROUND_CAPACITY:
-        raise CapacityError(
-            f"product ground set of {n1}*{n2} atoms exceeds capacity {GROUND_CAPACITY}")
+    check_ground(n1 * n2)
     cyl2 = [cylinder2_mask(row, n1, n2) for row in o2.rows]
     rows = []
     for row in o1.rows:
@@ -119,9 +117,7 @@ def minimal_product(ppl1: PPL, ppl2: PPL) -> PPL:
 def rectangle_family(cs1: ClosureSystem, cs2: ClosureSystem) -> ClosureSystem:
     """All products F x G of factor closed sets, empty sides collapsed."""
     n1, n2 = cs1.n, cs2.n
-    if n1 * n2 > GROUND_CAPACITY:
-        raise CapacityError(
-            f"product ground set of {n1}*{n2} atoms exceeds capacity {GROUND_CAPACITY}")
+    check_ground(n1 * n2)
     cyl2 = [cylinder2_mask(g, n1, n2) for g in cs2.masks if g]
     masks = {0}
     for f in cs1.masks:

@@ -28,7 +28,7 @@ from .axioms import (check_covering_law, check_orthomodular,
                      find_compatible_orthocomplementation, is_boolean)
 from .catalog import SplitMix64, random_spaces
 from .errors import CapacityError, CouldNotSeparateError, ParseError
-from .formats import _tokenize, serialize_statespace
+from .formats import _tokenize, parse_natural, serialize_statespace
 from .products import minimal_product, separated_product
 from .statespace import PPL, StateSpace, property_lattice
 
@@ -137,10 +137,10 @@ def parse_search_spec(text: str) -> SearchSpec:
     try:
         return SearchSpec(
             target=fields["target"],
-            count=int(fields["count"]),
-            nmax=int(fields.get("nmax", "4")),
+            count=parse_natural(fields["count"]),
+            nmax=parse_natural(fields.get("nmax", "4")),
             density=float(fields.get("density", "0.5")),
-            seed=int(fields.get("seed", "1")),
+            seed=parse_natural(fields.get("seed", "1")),
         )
     except ValueError as exc:
         raise ParseError(f"bad value in search spec: {exc}", 0, 0) from exc

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
-from .bitset import GROUND_CAPACITY, mask_bits
+from .bitset import check_ground, mask_bits
 from .closure import ClosureSystem, meet_closure
 from .errors import CapacityError, InvalidInstanceError
 
@@ -164,8 +164,7 @@ class StateSpace:
             raise ValueError("state space must have at least one state")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("state labels must be distinct")
-        if self.n > GROUND_CAPACITY:  # before the axioms, which scan n² pairs
-            raise CapacityError(f"{self.n} states exceed capacity {GROUND_CAPACITY}")
+        check_ground(self.n)  # before the axioms, which scan n² pairs
         if not self.orth.valid:
             raise InvalidInstanceError(self.validate(), self.labels)
 

@@ -107,7 +107,8 @@ MALFORMED = {
                                    "orth c d\n",
     "not-separating.statespace": "statespace v1\natoms a b c\north a c\north b c\n",
     "not-separating.ppl": "ppl v1\natoms a b\n",
-    "not-t1-biorthogonal.ppl": "ppl v1\natoms a b c\nclosed a b\north a c\north b c\n",
+    # valid, but {a1,a2} is closed beyond the double-perp family: not involutive
+    "not-biorthogonal.ppl": "ppl v1\natoms a1 a2 b1 b2\nclosed a1 a2\north a1 b1\north a2 b2\n",
     "quoted-labels.statespace": 'statespace v1\natoms a"x b\\y\north a"x b\\y\n',
     "search-spec.statespace": "search v1\ntarget x\ncount 1\n",
     "over-capacity.statespace": "statespace v1\natoms " + " ".join(f"x{i}" for i in range(65))

@@ -318,6 +318,46 @@ def test_budget_value_exit_codes(run, monkeypatch, tmp_path, where, value, expec
         assert err.startswith("error\t")
 
 
+@pytest.mark.parametrize("where, value", [
+    ("gen", "boolean:+3"),
+    ("gen", "boolean:\uff13"),  # a full-width 3
+    ("gen", "boolean:1_0"),
+    ("gen", "boolean:1e1"),
+    ("gen", "boolean: 3"),
+    ("gen", "mo:-2"),
+    ("gen", "random:+4:0.5:3"),
+    ("gen", "random:4:0.5:-3"),
+    ("spec", "count +3"),
+    ("spec", "count 1_0"),
+    ("spec", "nmax \uff13"),
+    ("spec", "seed -1"),
+    ("env", "\uff11_0"),
+    ("env", "+5"),
+    ("env", " 5"),
+    ("flag", "1_000"),
+])
+def test_numbers_are_ascii_digits_only(run, monkeypatch, tmp_path, where, value):
+    # Python's int() accepts every one of these; the grammar is [0-9]+
+    argv = ["symmetries", "gen:mo:3", "--count-only"]
+    if where == "gen":
+        argv[1] = f"gen:{value}"
+    elif where == "spec":
+        spec = tmp_path / "s.search"
+        count = "" if value.startswith("count") else "count 3\n"
+        spec.write_text(f"search v1\ntarget minimal-covering-nontrivial\n{count}{value}\n")
+        argv = ["search", str(spec)]
+    elif where == "env":
+        monkeypatch.setenv("ORTHLAB_BUDGET", value)
+    else:
+        argv += ["--budget", value]
+    code, out, err = run(*argv)
+    assert (code, out) == (2, [])
+    assert len(err.splitlines()) == 1 and err.startswith("error\t")
+    assert "invalid literal" not in err
+    if where in ("gen", "spec"):
+        assert "expected ASCII digits 0-9" in err
+
+
 @pytest.mark.parametrize("exc, expected", [
     (errors.ParseError("bad token", 1, 1), 2),
     (errors.InvalidInstanceError(ValidationReport((CheckResult("t1", False),))), 2),
@@ -401,7 +441,7 @@ def test_a_statespace_file_over_the_ground_cap_is_refused(run, tmp_path, argv):
                     + "".join(f"orth x{p} x{q}\n" for p in range(65) for q in range(p + 1, 65)))
     for src in (str(path), "gen:boolean:65"):
         code, out, err = run(argv[0], src, *argv[1:])
-        assert (code, out, err.splitlines()) == (3, [], ["error\t65 states exceed capacity 64"])
+        assert (code, out, err.splitlines()) == (3, [], ["error\tground set of 65 atoms exceeds capacity 64"])
 
 
 def test_plane_transitivity_needs_no_family(run):

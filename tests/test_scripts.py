@@ -126,7 +126,7 @@ def test_mine_counterexamples_small_run():
     # instance from joins, so no family of theirs meets the family cap)
     (("--nmax", "9", "--count", "1", "--seed", "5",
       "--target", "minimal-covering-nontrivial"),
-     3, "error\tproduct ground set of 9*8 atoms exceeds capacity 64"),
+     3, "error\tground set of 72 atoms exceeds capacity 64"),
     (("--count", "-1"), 2, "error\tcount must be >= 0 and nmax >= 1"),
 ], ids=["capacity", "invalid-count"])
 def test_mine_counterexamples_errors_exit_like_the_cli(args, code, error):
@@ -140,7 +140,7 @@ def test_mine_counterexamples_errors_exit_like_the_cli(args, code, error):
 def test_survey_over_capacity_exits_like_the_cli():
     proc = _run_script("survey_catalog.py", "--lantern-max", "40")
     assert proc.returncode == 3, proc.stderr
-    assert proc.stderr == "error\t66 states exceed capacity 64\n"
+    assert proc.stderr == "error\tground set of 66 atoms exceeds capacity 64\n"
     assert proc.stdout == ""
 
 

@@ -177,11 +177,13 @@ def test_run_search_hits_equal_drawing_each_factor_in_turn(monkeypatch):
 @pytest.mark.parametrize("spec,error,message", [
     # instance 16 builds a product over the cap before any factor of 65 states
     (SearchSpec("minimal-covering-nontrivial", 30, nmax=65, seed=1), CapacityError,
-     "product ground set of 46*20 atoms exceeds capacity 64"),
+     "ground set of 920 atoms exceeds capacity 64"),
     # instance 19 draws a first factor of 65 states
-    (SearchSpec("quiet", 30, nmax=65, seed=1), CapacityError, "65 states exceed capacity 64"),
+    (SearchSpec("quiet", 30, nmax=65, seed=1), CapacityError,
+     "ground set of 65 atoms exceeds capacity 64"),
     # instance 0 draws a first factor of 49 states, then a second of 65
-    (SearchSpec("quiet", 3, nmax=65, seed=21), CapacityError, "65 states exceed capacity 64"),
+    (SearchSpec("quiet", 3, nmax=65, seed=21), CapacityError,
+     "ground set of 65 atoms exceeds capacity 64"),
     (SearchSpec("quiet", 3, density=1.5), ValueError, "density must lie in [0, 1]"),
 ])
 def test_run_search_raises_where_drawing_each_factor_in_turn_does(spec, error, message,
